@@ -26,8 +26,6 @@ from .statemap import (
     is_fixed_state,
     sequence_divergence,
     single_shift_map,
-    to_fibonacci,
-    to_galois,
 )
 from .transform import (
     GaloisProfile,
@@ -73,8 +71,6 @@ __all__ = [
     "is_fixed_state",
     "sequence_divergence",
     "single_shift_map",
-    "to_fibonacci",
-    "to_galois",
     "EquivalenceReport",
     "PeriodCensus",
     "brute_force_match",

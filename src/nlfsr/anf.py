@@ -91,7 +91,7 @@ class Monomial:
         return "*".join(f"x{k}" for k in self.indices)
 
 
-_TOKEN = re.compile(r"\s*(x\d+|1|0|\+|\*)")
+_TOKEN = re.compile(r"\s*(x[0-9]+|1|0|\+|\*)")
 
 
 class Anf:

@@ -22,6 +22,7 @@ from .register import (
     Nlfsr,
     StructureError,
     format_state,
+    is_ascii_digits,
     parse_state,
 )
 from .statemap import build_correction
@@ -55,11 +56,10 @@ def _parse_move(text: str) -> ShiftMove:
     parts = text.split(",", 2)
     if len(parts) != 3:
         raise ValueError(f"move must be 'from,to,poly', got {text!r}")
-    try:
-        from_bit, to_bit = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"move bits must be integers, got {text!r}") from None
-    return ShiftMove(from_bit, to_bit, Anf.parse(parts[2]))
+    bits = [part.strip() for part in parts[:2]]
+    if not all(is_ascii_digits(b) for b in bits):
+        raise ValueError(f"move bits must be integers, got {text!r}")
+    return ShiftMove(int(bits[0]), int(bits[1]), Anf.parse(parts[2]))
 
 
 def _cmd_transform(args) -> int:
@@ -94,7 +94,7 @@ def _cmd_map_state(args) -> int:
 def _cmd_verify(args) -> int:
     a = _load_register(args.register_a)
     b = _load_register(args.register_b)
-    report = output_set_equivalent(a, b, prefix_len=args.prefix_len)
+    report = output_set_equivalent(a, b)
     print(report.verdict)
     if report.witness is not None:
         side = args.register_a if report.witness_side == "first" else args.register_b
@@ -163,13 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively compare the output sets of two registers")
     p.add_argument("register_a", help="first register file")
     p.add_argument("register_b", help="second register file")
-    p.add_argument(
-        "--prefix-len",
-        type=int,
-        default=None,
-        help="compared output length (default 2^n + n; shorter lengths can only "
-        "conclude non-equivalence)",
-    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("period", help="longest output cycle over all initial states")

@@ -42,6 +42,15 @@ class ExhaustiveLimitError(ValueError):
     """A whole-state-space operation was asked for a register above the limit."""
 
 
+def check_limit(n: int, limit: int | None) -> None:
+    """Refuse an n-bit whole-state-space scan above ``limit`` (default EXHAUSTIVE_LIMIT)."""
+    lim = EXHAUSTIVE_LIMIT if limit is None else limit
+    if n > lim:
+        raise ExhaustiveLimitError(
+            f"register has {n} bits, exhaustive scans are capped at {lim}"
+        )
+
+
 @dataclass(frozen=True)
 class Violation:
     """One structural defect, machine-readable for guard diagnostics.
@@ -60,6 +69,11 @@ class Violation:
     def __str__(self) -> str:
         v = f" x{self.variable}" if self.variable is not None else ""
         return f"bit {self.bit}: {self.kind}{v}"
+
+
+def is_ascii_digits(text: str) -> bool:
+    """True for a non-empty run of ASCII digits, the only integers the file formats accept."""
+    return text.isascii() and text.isdigit()
 
 
 def parse_state(text: str, n: int | None = None) -> State:
@@ -250,13 +264,6 @@ class Nlfsr:
 
     # -- whole-orbit analysis ----------------------------------------------
 
-    def _check_limit(self, limit: int | None) -> None:
-        lim = EXHAUSTIVE_LIMIT if limit is None else limit
-        if self.n > lim:
-            raise ExhaustiveLimitError(
-                f"register has {self.n} bits, exhaustive scans are capped at {lim}"
-            )
-
     def period_from(self, state: Sequence[int], limit: int | None = None) -> int:
         """Length of the cycle the orbit of ``state`` falls into.
 
@@ -264,7 +271,7 @@ class Nlfsr:
         enters a cycle; only the cycle length is reported.
         """
         self._check_state(state)
-        self._check_limit(limit)
+        check_limit(self.n, limit)
         seen: dict[int, int] = {}
         x = state_to_int(state)
         t = 0
@@ -276,34 +283,9 @@ class Nlfsr:
 
     def period(self, limit: int | None = None) -> int:
         """Longest cycle length over all 2^n initial states."""
-        self._check_limit(limit)
-        best = 0
-        for length in self._orbit_lengths():
-            if length > best:
-                best = length
-        return best
+        from .verify import period_census  # verify imports this module
 
-    def _orbit_lengths(self):
-        """Yield the length of every distinct cycle of the step function."""
-        size = 1 << self.n
-        succ = [self.step_packed(x) for x in range(size)]
-        status = bytearray(size)  # 0 unseen, 1 on current walk, 2 resolved
-        position: dict[int, int] = {}
-        for start in range(size):
-            if status[start]:
-                continue
-            path = []
-            x = start
-            while status[x] == 0:
-                status[x] = 1
-                position[x] = len(path)
-                path.append(x)
-                x = succ[x]
-            if status[x] == 1:  # closed a new cycle
-                yield len(path) - position[x]
-            for v in path:
-                status[v] = 2
-            position.clear()
+        return period_census(self, limit).period
 
     # -- text form ----------------------------------------------------------
 
@@ -339,13 +321,12 @@ class Nlfsr:
             if name == "n":
                 if n is not None:
                     raise ValueError(f"line {lineno}: duplicate n")
-                try:
-                    n = int(value)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: n must be an integer") from None
+                if not is_ascii_digits(value):
+                    raise ValueError(f"line {lineno}: n must be an integer")
+                n = int(value)
                 if n < 2:
                     raise ValueError(f"line {lineno}: n must be at least 2")
-            elif name.startswith("f") and name[1:].isdigit():
+            elif name.startswith("f") and is_ascii_digits(name[1:]):
                 if n is None:
                     raise ValueError(f"line {lineno}: n must be declared before feedbacks")
                 i = int(name[1:])
@@ -365,6 +346,15 @@ class Nlfsr:
         if missing:
             raise ValueError(f"missing feedback for bit(s) {', '.join(map(str, missing))}")
         return cls([feedbacks[i] for i in range(n)])
+
+
+def successor_table(m: Nlfsr, limit: int | None = None) -> list[int]:
+    """Entry x is the packed successor of packed state x, over all 2^n states.
+
+    Every whole-state-space scan starts from this table.
+    """
+    check_limit(m.n, limit)
+    return [m.step_packed(x) for x in range(1 << m.n)]
 
 
 def require_well_formed(m: Nlfsr) -> None:

@@ -33,7 +33,7 @@ class StateCorrection:
     Every correction reads only bits strictly below the bit it corrects,
     which is what makes the mapping invertible by forward substitution.
 
-    zero_prefix_fixed reports the structural shortcut: when every
+    zero_prefix_fixed reports a structural property: when every
     correction monomial reads at least one bit at or below the terminal
     bit, all corrections vanish on states whose low bits are zero, so
     such states map to themselves.
@@ -64,8 +64,6 @@ class StateCorrection:
     def apply(self, state: Sequence[int]) -> State:
         """Map a Fibonacci initial state to the matching Galois initial state."""
         self._check(state)
-        if self.zero_prefix_fixed and not any(state[: self.tau + 1]):
-            return tuple(state)
         out = list(state)
         for j, p in enumerate(self.polys):
             out[self.tau + 1 + j] ^= p.evaluate(state)
@@ -97,21 +95,6 @@ def build_correction(g: Nlfsr) -> StateCorrection:
             acc = acc ^ residuals[k - tau].shifted(i - 1 - k)
         polys.append(acc)
     return StateCorrection(g.n, tau, tuple(polys))
-
-
-def to_galois(g: Nlfsr, state: Sequence[int]) -> State:
-    """The initial state of g matching a Fibonacci initial state.
-
-    Starting the Fibonacci source from ``state`` and g from the returned
-    state yields identical output streams.  Remapping many states through
-    one register is cheaper via build_correction(g).apply.
-    """
-    return build_correction(g).apply(state)
-
-
-def to_fibonacci(g: Nlfsr, state: Sequence[int]) -> State:
-    """Inverse of to_galois: recover the Fibonacci initial state."""
-    return build_correction(g).invert(state)
 
 
 def is_fixed_state(g: Nlfsr, state: Sequence[int]) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .anf import Anf, ParseError
-from .register import Nlfsr, StructureError, Violation, require_well_formed
+from .register import Nlfsr, StructureError, Violation, is_ascii_digits, require_well_formed
 
 
 class ShiftRejected(StructureError):
@@ -115,13 +115,12 @@ class GaloisProfile:
             if name == "tau":
                 if tau is not None:
                     raise ValueError(f"line {lineno}: duplicate tau")
-                try:
-                    tau = int(value)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: tau must be an integer") from None
+                if not is_ascii_digits(value):
+                    raise ValueError(f"line {lineno}: tau must be an integer")
+                tau = int(value)
                 if not 0 <= tau <= n - 1:
                     raise ValueError(f"line {lineno}: tau out of range for n = {n}")
-            elif name.startswith("g") and name[1:].isdigit():
+            elif name.startswith("g") and is_ascii_digits(name[1:]):
                 if tau is None:
                     raise ValueError(f"line {lineno}: tau must be declared first")
                 i = int(name[1:])

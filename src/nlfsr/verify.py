@@ -5,10 +5,7 @@ Equivalence of two registers is decided by enumerating every initial
 state of both and comparing output prefixes; cycle structure is decided
 by walking the full successor graph.  Output prefixes of length 2^n + n
 are used as the stand-in for "same infinite output": at that length two
-states of an n-bit register lie on identically labelled orbits.  That
-convention is an implementation choice, so reports produced with a
-shorter, caller-forced prefix can only conclude non-equivalence, never
-equivalence.
+states of an n-bit register lie on identically labelled orbits.
 
 Everything is a pure function of immutable registers; scans over initial
 states can be partitioned freely and merged by min/union/sum.
@@ -19,19 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .register import EXHAUSTIVE_LIMIT, ExhaustiveLimitError, Nlfsr, State, int_to_state, state_to_int
+from .register import Nlfsr, State, check_limit, int_to_state, state_to_int, successor_table
 
 
 def default_prefix_len(n: int) -> int:
     return (1 << n) + n
-
-
-def _check_limit(n: int, limit: int | None) -> None:
-    lim = EXHAUSTIVE_LIMIT if limit is None else limit
-    if n > lim:
-        raise ExhaustiveLimitError(
-            f"register has {n} bits, exhaustive scans are capped at {lim}"
-        )
 
 
 def output_prefixes(m: Nlfsr, length: int, limit: int | None = None) -> list[int]:
@@ -41,11 +30,10 @@ def output_prefixes(m: Nlfsr, length: int, limit: int | None = None) -> list[int
     (bit t of the entry is the output at step t).  Computed for the whole
     space at once by successor-table doubling.
     """
-    _check_limit(m.n, limit)
     if length < 1:
         raise ValueError("prefix length must be positive")
     size = 1 << m.n
-    jump = [m.step_packed(x) for x in range(size)]
+    jump = successor_table(m, limit)
     pref = [x & 1 for x in range(size)]
     done = 1
     while done < length:
@@ -65,7 +53,6 @@ def brute_force_match(
     a: Nlfsr,
     b: Nlfsr,
     state: Sequence[int],
-    prefix_len: int | None = None,
     limit: int | None = None,
 ) -> State | None:
     """Scan all states of b for one whose output prefix matches a's from ``state``.
@@ -77,8 +64,8 @@ def brute_force_match(
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
     if len(state) != a.n:
         raise ValueError(f"state has {len(state)} bits, register has {a.n}")
-    _check_limit(a.n, limit)
-    length = default_prefix_len(a.n) if prefix_len is None else prefix_len
+    check_limit(a.n, limit)
+    length = default_prefix_len(a.n)
     x = state_to_int(state)
     target = 0
     for t in range(length):
@@ -90,7 +77,7 @@ def brute_force_match(
     return None
 
 
-Verdict = Literal["equivalent", "not-equivalent", "inconclusive"]
+Verdict = Literal["equivalent", "not-equivalent"]
 
 
 @dataclass(frozen=True)
@@ -102,10 +89,8 @@ class EquivalenceReport:
     is present exactly when every state matched in both directions.
     witness is a state of one register whose output prefix no state of
     the other reproduces, present exactly for the not-equivalent verdict
-    (witness_side tells which register it belongs to).  A verdict of
-    equivalent is only ever issued at prefix length 2^n + n or more;
-    shorter caller-forced prefixes downgrade a full match to
-    inconclusive.
+    (witness_side tells which register it belongs to).  prefix_len is
+    the compared output length, always 2^n + n.
     """
 
     verdict: Verdict
@@ -118,7 +103,6 @@ class EquivalenceReport:
 def output_set_equivalent(
     a: Nlfsr,
     b: Nlfsr,
-    prefix_len: int | None = None,
     limit: int | None = None,
 ) -> EquivalenceReport:
     """Decide whether two registers generate the same set of output sequences.
@@ -129,8 +113,7 @@ def output_set_equivalent(
     """
     if a.n != b.n:
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
-    _check_limit(a.n, limit)
-    length = default_prefix_len(a.n) if prefix_len is None else prefix_len
+    length = default_prefix_len(a.n)
     pref_a = output_prefixes(a, length, limit)
     pref_b = output_prefixes(b, length, limit)
     first_b: dict[int, int] = {}
@@ -150,8 +133,6 @@ def output_set_equivalent(
             return EquivalenceReport(
                 "not-equivalent", length, witness=int_to_state(y, b.n), witness_side="second"
             )
-    if length < default_prefix_len(a.n):
-        return EquivalenceReport("inconclusive", length)
     return EquivalenceReport("equivalent", length, matching=matching)
 
 
@@ -184,40 +165,38 @@ class PeriodCensus:
 
 
 def period_census(m: Nlfsr, limit: int | None = None) -> PeriodCensus:
-    """Partition all states into cycles and tails by walking the successor graph."""
-    _check_limit(m.n, limit)
-    size = 1 << m.n
-    succ = [m.step_packed(x) for x in range(size)]
-    status = bytearray(size)  # 0 unseen, 1 on current walk, 2 on a cycle, 3 tail
+    """Partition all states into cycles and tails by walking the successor graph.
+
+    Each walk runs from an unseen state until it meets a seen one.  If
+    that state is on the current walk, the walk closed a new cycle there
+    and the states before it are tail; otherwise the whole walk is tail.
+    """
+    succ = successor_table(m, limit)
+    status = bytearray(len(succ))  # 0 unseen, 1 on the current walk, 2 resolved
     cycles: dict[int, int] = {}
     tail_states = 0
-    for start in range(size):
+    for start in range(len(succ)):
         if status[start]:
             continue
         path = []
-        position: dict[int, int] = {}
         x = start
-        while status[x] == 0:
+        while not status[x]:
             status[x] = 1
-            position[x] = len(path)
             path.append(x)
             x = succ[x]
-        if status[x] == 1:
-            cut = position[x]
+        if status[x] == 1:  # closed a new cycle at x
+            cut = path.index(x)
             length = len(path) - cut
             cycles[length] = cycles.get(length, 0) + length
         else:
             cut = len(path)
-        for v in path[:cut]:
-            status[v] = 3
         tail_states += cut
-        for v in path[cut:]:
+        for v in path:
             status[v] = 2
     return PeriodCensus(m.n, cycles, tail_states)
 
 
 def step_is_bijection(m: Nlfsr, limit: int | None = None) -> bool:
     """Whether the update permutes the state space (no two states collide)."""
-    _check_limit(m.n, limit)
-    size = 1 << m.n
-    return len({m.step_packed(x) for x in range(size)}) == size
+    table = successor_table(m, limit)
+    return len(set(table)) == len(table)

@@ -96,6 +96,11 @@ class TestTransform:
     def test_malformed_move_text(self, regs, capsys):
         assert main(["transform", regs["a"], "--move", "2;1;x1"]) == 2
 
+    @pytest.mark.parametrize("move", ["\u0662,\u0661,x1", "+2,1,x1", "2,0_1,x1"])
+    def test_move_bits_must_be_ascii_digits(self, regs, capsys, move):
+        assert main(["transform", regs["a"], "--move", move]) == 2
+        assert "move bits must be integers" in capsys.readouterr().err
+
 
 class TestMapState:
     def test_forward(self, regs, capsys):
@@ -130,10 +135,6 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.startswith("not-equivalent\n")
         assert "witness" in out
-
-    def test_short_prefix_inconclusive(self, regs, capsys):
-        assert main(["verify", regs["a"], regs["b"], "--prefix-len", "3"]) == 1
-        assert capsys.readouterr().out == "inconclusive\n"
 
 
 class TestPeriod:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nlfsr import samples
-from nlfsr.anf import Anf, Monomial
+from nlfsr.anf import Anf, Monomial, ParseError
 from nlfsr.register import (
     ExhaustiveLimitError,
     Nlfsr,
@@ -13,8 +13,14 @@ from nlfsr.register import (
     parse_state,
     state_to_int,
 )
+from nlfsr.transform import GaloisProfile
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
+
+
+def parse_profile(text: str) -> GaloisProfile:
+    return GaloisProfile.parse(text, 4)
+
 
 # The published side-by-side state table of the equivalent trio:
 # 15 rows of (GALOIS_A, GALOIS_B, FIBONACCI), highest bit first.
@@ -262,6 +268,28 @@ class TestFileFormat:
         with pytest.raises(ValueError) as err:
             Nlfsr.parse(text)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "parse,text,fragment",
+        [
+            pytest.param(Anf.parse, "x\u0661", "at position 0", id="anf-arabic-index"),
+            pytest.param(Nlfsr.parse, "n = 2\nf\u0661 = x0\nf0 = x1", "line 2: unknown assignment", id="reg-arabic-bit"),
+            pytest.param(Nlfsr.parse, "n = \u0662\nf1 = x0\nf0 = x1", "line 1: n must be an integer", id="reg-arabic-n"),
+            pytest.param(Nlfsr.parse, "n = 1_0", "line 1: n must be an integer", id="reg-underscore-n"),
+            pytest.param(Nlfsr.parse, "n = +2\nf1 = x0\nf0 = x1", "line 1: n must be an integer", id="reg-signed-n"),
+            pytest.param(parse_profile, "tau = \u0661", "line 1: tau must be an integer", id="prof-arabic-tau"),
+            pytest.param(parse_profile, "tau = 1\ng\u0663 = x1", "line 2: unknown assignment", id="prof-arabic-bit"),
+            pytest.param(parse_profile, "tau = 0_1", "line 1: tau must be an integer", id="prof-underscore-tau"),
+        ],
+    )
+    def test_only_ascii_digits_accepted(self, parse, text, fragment):
+        # int() and \d also take other scripts' digits, underscores and signs;
+        # the file formats admit [0-9]+ only
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert fragment in str(err.value)
+        if parse is Anf.parse:
+            assert isinstance(err.value, ParseError) and err.value.position == 0
 
     def test_blank_lines_ignored(self):
         m = Nlfsr.parse("\nn = 2\n\nf1 = x0\n\nf0 = x1\n")

@@ -11,8 +11,6 @@ from nlfsr.statemap import (
     is_fixed_state,
     sequence_divergence,
     single_shift_map,
-    to_fibonacci,
-    to_galois,
 )
 from nlfsr.transform import ShiftMove, apply_shift
 from nlfsr.verify import default_prefix_len, output_prefixes
@@ -93,15 +91,15 @@ class TestBuildCorrection:
 
 class TestMapping:
     def test_published_row_one(self):
-        assert format_state(to_galois(B, parse_state("0001"))) == "0101"
-        assert format_state(to_galois(A, parse_state("0001"))) == "0001"
+        assert format_state(build_correction(B).apply(parse_state("0001"))) == "0101"
+        assert format_state(build_correction(A).apply(parse_state("0001"))) == "0001"
 
     def test_published_row_two(self):
-        assert format_state(to_galois(B, parse_state("1000"))) == "1000"
+        assert format_state(build_correction(B).apply(parse_state("1000"))) == "1000"
 
     def test_inverse_of_row_one(self):
-        assert format_state(to_fibonacci(B, parse_state("0101"))) == "0001"
-        assert format_state(to_fibonacci(A, parse_state("1101"))) == "1101"
+        assert format_state(build_correction(B).invert(parse_state("0101"))) == "0001"
+        assert format_state(build_correction(A).invert(parse_state("1101"))) == "1101"
 
     def test_low_bits_never_change(self):
         rng = random.Random(9)
@@ -140,7 +138,7 @@ class TestMapping:
 
     def test_inverse_confirmed_by_simulation(self):
         r = parse_state("1101")
-        s = to_fibonacci(A, r)
+        s = build_correction(A).invert(r)
         assert s == r  # this state's correction evaluates to zero
         assert F.output_sequence(s, 15) == A.output_sequence(r, 15)
 

@@ -3,15 +3,17 @@ import random
 import pytest
 
 from nlfsr import samples
-from nlfsr.anf import Anf
+from nlfsr.anf import Anf, Monomial
 from nlfsr.generate import random_lowering
 from nlfsr.register import (
+    EXHAUSTIVE_LIMIT,
     ExhaustiveLimitError,
     Nlfsr,
     format_state,
     int_to_state,
     parse_state,
     state_to_int,
+    successor_table,
 )
 from nlfsr.statemap import build_correction
 from nlfsr.verify import (
@@ -42,7 +44,7 @@ class TestOutputPrefixes:
 
 class TestBruteForceMatch:
     def test_finds_the_published_matching_state(self):
-        got = brute_force_match(F, B, parse_state("0001"), prefix_len=20)
+        got = brute_force_match(F, B, parse_state("0001"))
         assert format_state(got) == "0101"
 
     def test_register_matches_itself(self):
@@ -55,7 +57,7 @@ class TestBruteForceMatch:
         # scanned independently over all 16 states, then compared with the
         # algebraic mapping in the output-equality sense
         s = parse_state("0111")
-        oracle = brute_force_match(F, A, s, prefix_len=20)
+        oracle = brute_force_match(F, A, s)
         assert F.output_sequence(s, 20) == A.output_sequence(oracle, 20)
         formula = build_correction(A).apply(s)
         assert A.output_sequence(oracle, 20) == A.output_sequence(formula, 20)
@@ -121,21 +123,19 @@ class TestOutputSetEquivalence:
         for x, y in report.matching.items():
             assert pf[x] == pg[y]
 
-    def test_short_prefix_is_inconclusive(self):
-        report = output_set_equivalent(F, B, prefix_len=3)
-        assert report.verdict == "inconclusive"
-        assert report.witness is None and report.matching is None
-
-    def test_short_prefix_mismatch_is_still_conclusive(self):
-        report = output_set_equivalent(F, samples.ROTATION, prefix_len=8)
-        assert report.verdict == "not-equivalent"
-
     def test_default_prefix_len(self):
         assert output_set_equivalent(A, B).prefix_len == default_prefix_len(4) == 20
 
     def test_limit_guard(self):
         with pytest.raises(ExhaustiveLimitError):
             output_set_equivalent(A, B, limit=2)
+
+
+def random_feedback(rng: random.Random, n: int) -> Anf:
+    """A feedback of up to three terms of degree up to two; no register structure."""
+    return Anf(
+        Monomial(rng.sample(range(n), rng.randint(0, 2))) for _ in range(rng.randint(0, 3))
+    )
 
 
 class TestPeriodCensus:
@@ -170,6 +170,31 @@ class TestPeriodCensus:
         assert census.tail_states == 2
         assert census.cycles == {1: 2}
         assert not step_is_bijection(m)
+        # random registers with tails, against a reference that asks each
+        # state whether stepping it period_from times brings it back
+        rng = random.Random(31)
+        checked = 0
+        while checked < 25:
+            n = rng.randint(2, 7)
+            m = Nlfsr(random_feedback(rng, n) for _ in range(n))
+            if step_is_bijection(m):
+                continue
+            cycles: dict[int, int] = {}
+            tails = 0
+            for x in range(1 << m.n):
+                length = m.period_from(int_to_state(x, m.n))
+                y = x
+                for _ in range(length):
+                    y = m.step_packed(y)
+                if y == x:
+                    cycles[length] = cycles.get(length, 0) + 1
+                else:
+                    tails += 1
+            census = period_census(m)
+            assert tails > 0
+            assert (census.cycles, census.tail_states) == (cycles, tails)
+            assert m.period() == max(cycles)
+            checked += 1
 
     def test_uniform_registers_are_bijective_with_no_tails(self):
         rng = random.Random(29)
@@ -185,3 +210,31 @@ class TestPeriodCensus:
     def test_limit_guard(self):
         with pytest.raises(ExhaustiveLimitError):
             period_census(A, limit=3)
+
+
+# Every whole-state-space entry point, called on a register above the size
+# limit, given or default.  Each must refuse before it steps a single state.
+LIMIT_GUARDED = {
+    "successor_table": lambda m, lim: successor_table(m, lim),
+    "Nlfsr.period": lambda m, lim: m.period(lim),
+    "period_from": lambda m, lim: m.period_from((0,) * m.n, lim),
+    "period_census": lambda m, lim: period_census(m, lim),
+    "step_is_bijection": lambda m, lim: step_is_bijection(m, lim),
+    "output_prefixes": lambda m, lim: output_prefixes(m, default_prefix_len(m.n), lim),
+    "output_set_equivalent": lambda m, lim: output_set_equivalent(m, m, lim),
+    "brute_force_match": lambda m, lim: brute_force_match(m, m, (0,) * m.n, lim),
+}
+
+
+@pytest.mark.parametrize("name", LIMIT_GUARDED)
+def test_limit_refused_before_any_step(name, monkeypatch):
+    def no_stepping(self, x):
+        raise AssertionError("stepped a state before the limit check")
+
+    monkeypatch.setattr(Nlfsr, "step_packed", no_stepping)
+    call = LIMIT_GUARDED[name]
+    with pytest.raises(ExhaustiveLimitError, match="capped at 3"):
+        call(A, 3)
+    above_default = Nlfsr.fibonacci(EXHAUSTIVE_LIMIT + 1, Anf.var(0))
+    with pytest.raises(ExhaustiveLimitError, match=f"capped at {EXHAUSTIVE_LIMIT}"):
+        call(above_default, None)
