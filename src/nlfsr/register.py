@@ -17,6 +17,7 @@ concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -348,13 +349,79 @@ class Nlfsr:
         return cls([feedbacks[i] for i in range(n)])
 
 
+def _columns(n: int) -> list[int]:
+    """Column k of the state space: a 2^n-bit int whose bit x is bit k of x.
+
+    Each column repeats one byte pattern: 0xAA, 0xCC and 0xF0 for k < 3,
+    and 2^(k-3) zero bytes then as many 0xFF bytes for k >= 3.  Below
+    n = 3 the state space is shorter than the byte, which is cut to fit.
+    """
+    size = 1 << n
+    nbytes = max(size // 8, 1)
+    ones = (1 << size) - 1
+    cols = []
+    for k in range(n):
+        if k < 3:
+            block = bytes(((0xAA, 0xCC, 0xF0)[k],))
+        else:
+            half = 1 << (k - 3)
+            block = bytes(half) + b"\xff" * half
+        cols.append(int.from_bytes(block * (nbytes // len(block)), "little") & ones)
+    return cols
+
+
+def _successor_columns(m: Nlfsr) -> list[int]:
+    """Column i is bit i of the successor of every state: f_i evaluated once
+    over the whole state space as an XOR of ANDs of state-space columns."""
+    cols = _columns(m.n)
+    ones = (1 << (1 << m.n)) - 1
+    out = []
+    for f in m.feedbacks:
+        acc = 0
+        for t in f.terms:
+            term = ones
+            for k in t.indices:
+                term &= cols[k]
+            acc ^= term
+        out.append(acc)
+    return out
+
+
+def _lanes(bits: list[int], n: int) -> bytearray:
+    """Transpose n columns of 2^n bits into one native-order 4-byte lane per state."""
+    size = 1 << n
+    low_bits = int.from_bytes(b"\x01" * size, "little")  # 0x0101...01, one 1 per state
+    lanes = bytearray(4 * size)
+    for j in range(0, n, 8):
+        group = 0  # byte x holds bits j..j+7 of the successor of x
+        for i in range(j, min(j + 8, n)):
+            spread = int.from_bytes(format(bits[i], f"0{size}b").encode()[::-1], "little")
+            group |= (spread & low_bits) << (i - j)
+        byte = j // 8 if sys.byteorder == "little" else 3 - j // 8
+        lanes[byte::4] = group.to_bytes(size, "little")
+    return lanes
+
+
 def successor_table(m: Nlfsr, limit: int | None = None) -> list[int]:
     """Entry x is the packed successor of packed state x, over all 2^n states.
 
-    Every whole-state-space scan starts from this table.
+    Every whole-state-space scan starts from this table.  It equals
+    ``[m.step_packed(x) for x in range(1 << m.n)]`` but is built
+    bit-sliced: each variable x_k over all states is one 2^n-bit column
+    (bit x of the column is bit k of x), and each feedback is evaluated
+    once over all states as an XOR of ANDs of columns.  The n result
+    columns are then transposed, eight at a time, into one byte of a
+    4-byte lane per state, and the lanes are read out as unsigned ints.
+    A lane holds at most a 32-bit state, so registers above 32 bits are
+    refused with ExhaustiveLimitError, whatever ``limit`` allows.
     """
     check_limit(m.n, limit)
-    return [m.step_packed(x) for x in range(1 << m.n)]
+    if m.n > 32:
+        raise ExhaustiveLimitError(
+            f"register has {m.n} bits, successor tables hold states of at most 32"
+        )
+    # the columns are freed before the lanes are read out into the table
+    return memoryview(_lanes(_successor_columns(m), m.n)).cast("I").tolist()
 
 
 def require_well_formed(m: Nlfsr) -> None:

@@ -43,6 +43,16 @@ class ShiftMove:
         return f"{self.from_bit} -> {self.to_bit}: {self.terms}"
 
 
+def _residual_fault(n: int, tau: int, i: int, g: Anf) -> str | None:
+    """Why g cannot be the residual of bit i in a profile with terminal bit tau."""
+    high = max(g.support(), default=-1)
+    if high > tau:
+        return f"residual of bit {i} reads x{high} above the terminal bit"
+    if i == n - 1 and 0 in g.support():
+        return f"residual of bit {n - 1} may not read x0"
+    return None
+
+
 @dataclass(frozen=True)
 class GaloisProfile:
     """The target shape of a lowering: a terminal bit and the residuals above it.
@@ -65,11 +75,9 @@ class GaloisProfile:
                 f"got {len(self.residuals)}"
             )
         for k, g in zip(range(self.tau, self.n), self.residuals):
-            high = max(g.support(), default=-1)
-            if high > self.tau:
-                raise ValueError(f"residual of bit {k} reads x{high} above the terminal bit")
-        if 0 in self.residuals[-1].support():
-            raise ValueError(f"residual of bit {self.n - 1} may not read x0")
+            fault = _residual_fault(self.n, self.tau, k, g)
+            if fault:
+                raise ValueError(fault)
 
     def residual(self, i: int) -> Anf:
         """The intended residual of bit i; zero below the terminal bit."""
@@ -132,6 +140,9 @@ class GaloisProfile:
                     given[i] = Anf.parse(value, n_vars=n)
                 except ParseError as e:
                     raise ValueError(f"line {lineno}: {e}") from None
+                fault = _residual_fault(n, tau, i, given[i])
+                if fault:
+                    raise ValueError(f"line {lineno}: {fault}")
             else:
                 raise ValueError(f"line {lineno}: unknown assignment {name!r}")
         if tau is None:

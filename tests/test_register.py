@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
-from nlfsr import samples
+from nlfsr import register, samples
 from nlfsr.anf import Anf, Monomial, ParseError
 from nlfsr.register import (
     ExhaustiveLimitError,
@@ -12,6 +14,7 @@ from nlfsr.register import (
     int_to_state,
     parse_state,
     state_to_int,
+    successor_table,
 )
 from nlfsr.transform import GaloisProfile
 
@@ -20,6 +23,35 @@ A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 
 def parse_profile(text: str) -> GaloisProfile:
     return GaloisProfile.parse(text, 4)
+
+
+def polys(n: int):
+    """Polynomials in x_0..x_{n-1}, the zero polynomial and constant terms included."""
+    terms = st.frozensets(st.integers(0, n - 1), max_size=3).map(Monomial)
+    return st.frozensets(terms, max_size=4).map(Anf)
+
+
+@st.composite
+def registers(draw, max_n: int = 12) -> Nlfsr:
+    """Registers with arbitrary feedbacks: non-bijective updates and no
+    register structure are allowed."""
+    n = draw(st.integers(2, max_n))
+    return Nlfsr(draw(st.lists(polys(n), min_size=n, max_size=n)))
+
+
+@st.composite
+def profiles(draw, max_n: int = 8) -> GaloisProfile:
+    """Any legal profile, the tau = n - 1 and zero-residual cases included."""
+    n = draw(st.integers(2, max_n))
+    tau = draw(st.integers(0, n - 1))
+    residuals = []
+    for i in range(tau, n):
+        lowest = 1 if i == n - 1 else 0  # the top residual may not read x0
+        terms = st.frozensets(st.integers(0, tau), max_size=3).map(
+            lambda ks: Monomial(k for k in ks if k >= lowest)
+        )
+        residuals.append(draw(st.frozensets(terms, max_size=3).map(Anf)))
+    return GaloisProfile(n, tau, tuple(residuals))
 
 
 # The published side-by-side state table of the equivalent trio:
@@ -294,3 +326,106 @@ class TestFileFormat:
     def test_blank_lines_ignored(self):
         m = Nlfsr.parse("\nn = 2\n\nf1 = x0\n\nf0 = x1\n")
         assert m.n == 2
+
+
+class TestSuccessorTable:
+    """The bit-sliced table against step_packed, the per-state reference."""
+
+    @given(registers())
+    def test_equals_stepping_every_state(self, m):
+        assert successor_table(m) == [m.step_packed(x) for x in range(1 << m.n)]
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
+    def test_byte_group_edges(self, n):
+        # the transpose packs successor bits 0-7, 8-15, 16-23 into separate
+        # lane bytes; these sizes start or end a group, and every bit gets
+        # a constant term, a product and a term reading the top bit
+        rng = random.Random(n)
+        fbs = [
+            Anf([Monomial(), Monomial(rng.sample(range(n), 2)), Monomial((n - 1, rng.randrange(n)))])
+            for _ in range(n)
+        ]
+        fbs[0] = Anf.zero()
+        m = Nlfsr(fbs)
+        assert successor_table(m) == [m.step_packed(x) for x in range(1 << m.n)]
+
+    def test_above_32_bits_refused_before_any_work(self, monkeypatch):
+        def no_columns(n):
+            raise AssertionError("built columns for a register a lane cannot hold")
+
+        monkeypatch.setattr(register, "_columns", no_columns)
+        with pytest.raises(ExhaustiveLimitError, match="at most 32"):
+            successor_table(Nlfsr.fibonacci(33, Anf.var(0)), limit=40)
+
+
+# Characters a mutation may insert: the grammar's own, plus some it refuses.
+MUTATION_CHARS = "x0123456789+*= \nfgtau#y_\u0661"
+
+
+@st.composite
+def mutated(draw, texts):
+    """A valid text after one to three edits: a digit changed to another
+    digit, which keeps the syntax but can break a bound, or one character
+    inserted, deleted or replaced."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["digit", "insert", "delete", "replace"]))
+        digits = [i for i, c in enumerate(text) if c in "0123456789"]
+        if op == "digit" and digits:
+            at = draw(st.sampled_from(digits))
+            text = text[:at] + draw(st.sampled_from("0123456789")) + text[at + 1 :]
+            continue
+        at = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(MUTATION_CHARS))
+        cut = at + 1 if op != "insert" else at
+        text = text[:at] + (ch if op != "delete" else "") + text[cut:]
+    return text
+
+
+def check_file_error(err: ValueError, text: str) -> None:
+    """A file-format error names its line, unless it reports something missing."""
+    message = str(err)
+    if message.startswith("missing "):
+        return
+    found = re.match(r"line (\d+): ", message)
+    assert found, message
+    assert 1 <= int(found.group(1)) <= len(text.splitlines())
+
+
+class TestParserFuzz:
+    @given(registers())
+    def test_register_round_trip(self, m):
+        assert Nlfsr.parse(str(m)) == m
+
+    @given(profiles())
+    def test_profile_round_trip(self, p):
+        assert GaloisProfile.parse(str(p), p.n) == p
+
+    @given(mutated(polys(13).map(str)))
+    def test_mutated_polynomial_parses_or_names_its_position(self, text):
+        try:
+            f = Anf.parse(text)
+        except ParseError as err:
+            assert 0 <= err.position <= len(text)
+            return
+        assert Anf.parse(str(f)) == f
+
+    @given(mutated(registers(max_n=6).map(str)))
+    def test_mutated_register_parses_or_names_its_line(self, text):
+        try:
+            m = Nlfsr.parse(text)
+        except ValueError as err:
+            check_file_error(err, text)
+            return
+        assert Nlfsr.parse(str(m)) == m
+
+    @given(st.data())
+    def test_mutated_profile_parses_or_names_its_line(self, data):
+        p = data.draw(profiles(max_n=6))
+        text = data.draw(mutated(st.just(str(p))))
+        try:
+            q = GaloisProfile.parse(text, p.n)
+        except ValueError as err:
+            check_file_error(err, text)
+            return
+        assert GaloisProfile.parse(str(q), p.n) == q

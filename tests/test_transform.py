@@ -112,6 +112,8 @@ class TestGaloisProfile:
             ("tau = 1\ng0 = x0", "outside"),
             ("tau = 1\ng1 = x0\ng1 = x0", "duplicate"),
             ("tau = 1\ng1 = ???", "line 2"),
+            ("tau = 1\ng2 = x3", "line 2: residual of bit 2 reads x3 above"),
+            ("tau = 1\ng1 = x0\ng3 = x0", "line 3: residual of bit 3 may not read x0"),
         ],
     )
     def test_parse_errors(self, text, fragment):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nlfsr import samples
+from nlfsr import register, samples
 from nlfsr.anf import Anf, Monomial
 from nlfsr.generate import random_lowering
 from nlfsr.register import (
@@ -228,10 +228,16 @@ LIMIT_GUARDED = {
 
 @pytest.mark.parametrize("name", LIMIT_GUARDED)
 def test_limit_refused_before_any_step(name, monkeypatch):
+    # the walks step states one by one; the successor table is built from
+    # state-space columns without stepping, so both are made to fail
     def no_stepping(self, x):
         raise AssertionError("stepped a state before the limit check")
 
+    def no_columns(n):
+        raise AssertionError("built table columns before the limit check")
+
     monkeypatch.setattr(Nlfsr, "step_packed", no_stepping)
+    monkeypatch.setattr(register, "_columns", no_columns)
     call = LIMIT_GUARDED[name]
     with pytest.raises(ExhaustiveLimitError, match="capped at 3"):
         call(A, 3)
