@@ -8,7 +8,7 @@ agree bit for bit.
 
 from nlfsr import samples
 from nlfsr.register import format_state, parse_state
-from nlfsr.statemap import build_correction, is_fixed_state
+from nlfsr.statemap import build_correction
 
 a, b, f = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 
@@ -47,7 +47,7 @@ print("\nall three emit:", "".join(map(str, out_f)))
 # A state that is zero at and below both terminal bits starts every
 # configuration identically, no mapping needed.
 shared = parse_state("1000")
-assert is_fixed_state(a, shared) and is_fixed_state(b, shared)
+assert corr_a.is_fixed(shared) and corr_b.is_fixed(shared)
 out = f.output_sequence(shared, 15)
 assert a.output_sequence(shared, 15) == out == b.output_sequence(shared, 15)
 print(f"from the shared state {format_state(shared)} they emit:", "".join(map(str, out)))

@@ -1,7 +1,7 @@
 """The simulation oracles: equivalence verdicts, periods, and cross-checks.
 
 Nothing here trusts the algebra.  Registers are compared by enumerating
-every initial state and matching whole output prefixes; cycle structure
+every initial state and matching exact output-stream classes; cycle structure
 comes from walking the successor graph.  The same oracles double-check
 the closed-form state mapping on random register pairs.
 """

@@ -39,7 +39,7 @@ print("\nreconstruction recovers the source register exactly")
 
 report = output_set_equivalent(fib, galois)
 print(f"exhaustive oracle verdict: {report.verdict} "
-      f"(output prefixes of length {report.prefix_len}, all 64 states, both ways)")
+      "(exact output classes, all 64 states, both ways)")
 
 # the per-stage state fix-ups compose to the one-shot correction
 corr = build_correction(galois)

@@ -23,7 +23,6 @@ from .statemap import (
     DivergenceReport,
     StateCorrection,
     build_correction,
-    is_fixed_state,
     sequence_divergence,
     single_shift_map,
 )
@@ -39,8 +38,7 @@ from .verify import (
     EquivalenceReport,
     PeriodCensus,
     brute_force_match,
-    default_prefix_len,
-    output_prefixes,
+    output_classes,
     output_set_equivalent,
     period_census,
     step_is_bijection,
@@ -68,14 +66,12 @@ __all__ = [
     "DivergenceReport",
     "StateCorrection",
     "build_correction",
-    "is_fixed_state",
     "sequence_divergence",
     "single_shift_map",
     "EquivalenceReport",
     "PeriodCensus",
     "brute_force_match",
-    "default_prefix_len",
-    "output_prefixes",
+    "output_classes",
     "output_set_equivalent",
     "period_census",
     "step_is_bijection",

@@ -98,8 +98,7 @@ def _cmd_verify(args) -> int:
     print(report.verdict)
     if report.witness is not None:
         side = args.register_a if report.witness_side == "first" else args.register_b
-        print(f"witness: state {format_state(report.witness)} of {side} "
-              f"has no output match at prefix length {report.prefix_len}")
+        print(f"witness: state {format_state(report.witness)} of {side} has no output match")
     return 0 if report.verdict == "equivalent" else 1
 
 

@@ -343,9 +343,12 @@ class Nlfsr:
                 raise ValueError(f"line {lineno}: unknown assignment {name!r}")
         if n is None:
             raise ValueError("missing 'n = <size>' line")
-        missing = [i for i in range(n) if i not in feedbacks]
-        if missing:
-            raise ValueError(f"missing feedback for bit(s) {', '.join(map(str, missing))}")
+        if len(feedbacks) < n:
+            lowest = next(i for i in range(len(feedbacks) + 1) if i not in feedbacks)
+            unassigned = n - len(feedbacks)
+            raise ValueError(
+                f"missing feedback for bit(s) {lowest}: {unassigned} of {n} bits unassigned"
+            )
         return cls([feedbacks[i] for i in range(n)])
 
 

@@ -57,6 +57,19 @@ class StateCorrection:
             return Anf.zero()
         return self.polys[i - self.tau - 1]
 
+    def is_fixed(self, state: Sequence[int]) -> bool:
+        """True when the state provably maps to itself.
+
+        Holds when bits 0..tau of the state are zero and the corrections
+        vanish on every such state, so the Fibonacci source and the Galois
+        register generate the same output from this very state.  Note the
+        weaker, tempting criterion "no residual has a constant term" is not
+        enough: residuals shifted upward can end up reading only bits above
+        the terminal bit, where the state is not constrained.
+        """
+        self._check(state)
+        return self.zero_prefix_fixed and not any(state[: self.tau + 1])
+
     def _check(self, state: Sequence[int]) -> None:
         if len(state) != self.n:
             raise ValueError(f"state has {len(state)} bits, register has {self.n}")
@@ -95,21 +108,6 @@ def build_correction(g: Nlfsr) -> StateCorrection:
             acc = acc ^ residuals[k - tau].shifted(i - 1 - k)
         polys.append(acc)
     return StateCorrection(g.n, tau, tuple(polys))
-
-
-def is_fixed_state(g: Nlfsr, state: Sequence[int]) -> bool:
-    """True when the state provably maps to itself.
-
-    Holds when bits 0..tau of the state are zero and the register's
-    corrections vanish on every such state, so the Fibonacci source and
-    g generate the same output from this very state.  Note the weaker,
-    tempting criterion "no residual has a constant term" is not enough:
-    residuals shifted upward can end up reading only bits above the
-    terminal bit, where the state is not constrained.
-    """
-    corr = build_correction(g)
-    corr._check(state)
-    return corr.zero_prefix_fixed and not any(state[: corr.tau + 1])
 
 
 def single_shift_map(terms: Anf, source_bit: int, state: Sequence[int]) -> State:

@@ -1,11 +1,9 @@
 """Ground-truth oracles: exhaustive simulation over whole state spaces.
 
 These checks never use the algebraic machinery they are meant to judge.
-Equivalence of two registers is decided by enumerating every initial
-state of both and comparing output prefixes; cycle structure is decided
-by walking the full successor graph.  Output prefixes of length 2^n + n
-are used as the stand-in for "same infinite output": at that length two
-states of an n-bit register lie on identically labelled orbits.
+Equivalence of two registers is decided by labelling every initial state
+of both with a class of its infinite output stream and comparing the
+classes; cycle structure is decided by walking the full successor graph.
 
 Everything is a pure function of immutable registers; scans over initial
 states can be partitioned freely and merged by min/union/sum.
@@ -16,37 +14,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .register import Nlfsr, State, check_limit, int_to_state, state_to_int, successor_table
+from .register import Nlfsr, State, int_to_state, state_to_int, successor_table
 
 
-def default_prefix_len(n: int) -> int:
-    return (1 << n) + n
+def output_classes(a: Nlfsr, b: Nlfsr, limit: int | None = None) -> tuple[list[int], list[int]]:
+    """Label every state of two registers so that equal labels mean equal outputs.
 
-
-def output_prefixes(m: Nlfsr, length: int, limit: int | None = None) -> list[int]:
-    """The first ``length`` output bits from every initial state.
-
-    Entry x is the prefix started from packed state x, packed LSB-first
-    (bit t of the entry is the output at step t).  Computed for the whole
-    space at once by successor-table doubling.
+    Entry x of each list labels packed state x; two states, of the same
+    register or not, get the same label exactly when they emit the same
+    infinite output stream.  States of both registers are refined
+    together (Moore's partition refinement with pointer doubling): labels
+    start as the output bit, and each round relabels a state by its own
+    label and the label of the state 2^k steps ahead, which doubles the
+    output length the labels stand for.  When a round adds no label, the
+    2^k and 2^(k+1) output prefixes split the states alike, so every
+    longer prefix does too and the labels are exact.
     """
-    if length < 1:
-        raise ValueError("prefix length must be positive")
-    size = 1 << m.n
-    jump = successor_table(m, limit)
-    pref = [x & 1 for x in range(size)]
-    done = 1
-    while done < length:
-        if done * 2 <= length:
-            pref = [pref[x] | pref[jump[x]] << done for x in range(size)]
-            jump = [jump[jump[x]] for x in range(size)]
-            done *= 2
-        else:
-            take = length - done
-            mask = (1 << take) - 1
-            pref = [pref[x] | (pref[jump[x]] & mask) << done for x in range(size)]
-            done = length
-    return pref
+    if a.n != b.n:
+        raise ValueError(f"registers have different sizes {a.n} and {b.n}")
+    size = 1 << a.n
+    jump = successor_table(a, limit) + [y + size for y in successor_table(b, limit)]
+    label = [x & 1 for x in range(size)] * 2
+    count = 2
+    while True:
+        ids: dict[int, int] = {}
+        label = [ids.setdefault(c * count + label[j], len(ids)) for c, j in zip(label, jump)]
+        if len(ids) == count:
+            return label[:size], label[size:]
+        count = len(ids)
+        jump = [jump[j] for j in jump]
 
 
 def brute_force_match(
@@ -55,26 +51,17 @@ def brute_force_match(
     state: Sequence[int],
     limit: int | None = None,
 ) -> State | None:
-    """Scan all states of b for one whose output prefix matches a's from ``state``.
+    """The smallest state of b whose output stream equals a's from ``state``.
 
-    States are scanned in ascending packed order and the first (smallest)
-    match is returned, or None when no state of b reproduces the prefix.
+    Returns None when no state of b reproduces that stream.
     """
     if a.n != b.n:
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
     if len(state) != a.n:
         raise ValueError(f"state has {len(state)} bits, register has {a.n}")
-    check_limit(a.n, limit)
-    length = default_prefix_len(a.n)
-    x = state_to_int(state)
-    target = 0
-    for t in range(length):
-        target |= (x & 1) << t
-        x = a.step_packed(x)
-    for y, p in enumerate(output_prefixes(b, length, limit)):
-        if p == target:
-            return int_to_state(y, b.n)
-    return None
+    ca, cb = output_classes(a, b, limit)
+    target = ca[state_to_int(state)]
+    return int_to_state(cb.index(target), b.n) if target in cb else None
 
 
 Verdict = Literal["equivalent", "not-equivalent"]
@@ -85,16 +72,14 @@ class EquivalenceReport:
     """Outcome of the exhaustive output-set comparison of two registers.
 
     matching maps every packed state of the first register to the
-    smallest packed state of the second with the same output prefix; it
+    smallest packed state of the second with the same output stream; it
     is present exactly when every state matched in both directions.
-    witness is a state of one register whose output prefix no state of
+    witness is a state of one register whose output stream no state of
     the other reproduces, present exactly for the not-equivalent verdict
-    (witness_side tells which register it belongs to).  prefix_len is
-    the compared output length, always 2^n + n.
+    (witness_side tells which register it belongs to).
     """
 
     verdict: Verdict
-    prefix_len: int
     matching: dict[int, int] | None = None
     witness: State | None = None
     witness_side: Literal["first", "second"] | None = None
@@ -108,32 +93,28 @@ def output_set_equivalent(
     """Decide whether two registers generate the same set of output sequences.
 
     Every initial state of each register must have a counterpart in the
-    other producing the identical output prefix; one unmatched state on
+    other producing the identical output stream; one unmatched state on
     either side settles non-equivalence with that state as witness.
     """
-    if a.n != b.n:
-        raise ValueError(f"registers have different sizes {a.n} and {b.n}")
-    length = default_prefix_len(a.n)
-    pref_a = output_prefixes(a, length, limit)
-    pref_b = output_prefixes(b, length, limit)
+    ca, cb = output_classes(a, b, limit)
     first_b: dict[int, int] = {}
-    for y in range((1 << b.n) - 1, -1, -1):
-        first_b[pref_b[y]] = y
+    for y in range(len(cb) - 1, -1, -1):
+        first_b[cb[y]] = y
     matching = {}
-    for x, p in enumerate(pref_a):
-        y = first_b.get(p)
+    for x, c in enumerate(ca):
+        y = first_b.get(c)
         if y is None:
             return EquivalenceReport(
-                "not-equivalent", length, witness=int_to_state(x, a.n), witness_side="first"
+                "not-equivalent", witness=int_to_state(x, a.n), witness_side="first"
             )
         matching[x] = y
-    seen_a = set(pref_a)
-    for y, p in enumerate(pref_b):
-        if p not in seen_a:
+    seen_a = set(ca)
+    for y, c in enumerate(cb):
+        if c not in seen_a:
             return EquivalenceReport(
-                "not-equivalent", length, witness=int_to_state(y, b.n), witness_side="second"
+                "not-equivalent", witness=int_to_state(y, b.n), witness_side="second"
             )
-    return EquivalenceReport("equivalent", length, matching=matching)
+    return EquivalenceReport("equivalent", matching=matching)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -322,6 +323,18 @@ class TestFileFormat:
         assert fragment in str(err.value)
         if parse is Anf.parse:
             assert isinstance(err.value, ParseError) and err.value.position == 0
+
+    def test_missing_bits_of_a_huge_register_reported_briefly(self):
+        # the report names the lowest missing bit and how many are missing,
+        # at a cost set by the lines given, not by n
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            Nlfsr.parse("n = 1000000000\nf0 = x1")
+        assert time.perf_counter() - start < 0.5
+        message = str(err.value)
+        assert message.startswith("missing feedback for bit(s) 1")
+        assert "999999999" in message
+        assert len(message) < 200
 
     def test_blank_lines_ignored(self):
         m = Nlfsr.parse("\nn = 2\n\nf1 = x0\n\nf0 = x1\n")

@@ -8,12 +8,11 @@ from nlfsr.generate import random_lowering
 from nlfsr.register import Nlfsr, StructureError, format_state, int_to_state, parse_state
 from nlfsr.statemap import (
     build_correction,
-    is_fixed_state,
     sequence_divergence,
     single_shift_map,
 )
 from nlfsr.transform import ShiftMove, apply_shift
-from nlfsr.verify import default_prefix_len, output_prefixes
+from nlfsr.verify import output_classes
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 
@@ -120,9 +119,7 @@ class TestMapping:
 
     def test_outputs_match_for_all_states_of_tall_register(self):
         corr = build_correction(TALL)
-        length = default_prefix_len(5)
-        pf = output_prefixes(TALL_FIB, length)
-        pg = output_prefixes(TALL, length)
+        pf, pg = output_classes(TALL_FIB, TALL)
         for x in range(32):
             s = int_to_state(x, 5)
             r = corr.apply(s)
@@ -147,9 +144,7 @@ class TestMapping:
         for _ in range(3):
             fib, profile, galois, _ = random_lowering(rng, 12)
             corr = build_correction(galois)
-            length = default_prefix_len(12)
-            pf = output_prefixes(fib, length)
-            pg = output_prefixes(galois, length)
+            pf, pg = output_classes(fib, galois)
             for x in range(1 << 12):
                 s = int_to_state(x, 12)
                 r = corr.apply(s)
@@ -182,9 +177,9 @@ class TestZeroPrefix:
                 if not any(s[: corr.tau + 1]):
                     assert corr.apply(s) == s
                     assert corr.invert(s) == s
-                    assert is_fixed_state(g, s)
+                    assert corr.is_fixed(s)
                 else:
-                    assert not is_fixed_state(g, s)
+                    assert not corr.is_fixed(s)
 
     def test_constant_term_breaks_the_shortcut(self):
         g = Nlfsr.parse("n = 4\nf3 = x0 + x1\nf2 = x3 + 1 + x1\nf1 = x2\nf0 = x1")
@@ -193,7 +188,7 @@ class TestZeroPrefix:
         assert not corr.zero_prefix_fixed
         s = parse_state("0000")
         assert corr.apply(s) != s
-        assert not is_fixed_state(g, s)
+        assert not corr.is_fixed(s)
 
     def test_upshifted_residuals_break_the_shortcut(self):
         # TALL has no constant terms anywhere, yet a zero-prefix state
@@ -203,7 +198,7 @@ class TestZeroPrefix:
         s = (0, 0, 0, 1, 0)
         assert not any(s[: corr.tau + 1])
         assert corr.apply(s) != s
-        assert not is_fixed_state(TALL, s)
+        assert not corr.is_fixed(s)
 
     def test_shortcut_agrees_with_full_evaluation(self):
         rng = random.Random(31)
@@ -212,7 +207,7 @@ class TestZeroPrefix:
             corr = build_correction(galois)
             for x in range(1 << galois.n):
                 s = int_to_state(x, galois.n)
-                if is_fixed_state(galois, s):
+                if corr.is_fixed(s):
                     assert corr.apply(s) == s
 
 
@@ -255,7 +250,7 @@ class TestSequenceDivergence:
         for _ in range(8):
             n = rng.randint(4, 6)
             fib, _, _, moves = random_lowering(rng, n)
-            length = default_prefix_len(n)
+            length = (1 << n) + n
             cur = fib
             for mv in moves:
                 nxt = apply_shift(cur, mv)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nlfsr import register, samples
 from nlfsr.anf import Anf, Monomial
@@ -18,8 +19,7 @@ from nlfsr.register import (
 from nlfsr.statemap import build_correction
 from nlfsr.verify import (
     brute_force_match,
-    default_prefix_len,
-    output_prefixes,
+    output_classes,
     output_set_equivalent,
     period_census,
     step_is_bijection,
@@ -28,18 +28,46 @@ from nlfsr.verify import (
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 
 
-class TestOutputPrefixes:
-    def test_matches_stepwise_simulation(self):
-        for m in (A, B, F):
-            for length in (1, 2, 7, 20, 33):
-                table = output_prefixes(m, length)
-                for x in range(16):
-                    bits = m.output_sequence(int_to_state(x, 4), length)
-                    assert table[x] == sum(b << t for t, b in enumerate(bits))
+def polys(n: int):
+    """Polynomials in x_0..x_{n-1}, the zero polynomial and constant terms included."""
+    terms = st.frozensets(st.integers(0, n - 1), max_size=3).map(Monomial)
+    return st.frozensets(terms, max_size=4).map(Anf)
 
-    def test_rejects_nonpositive_length(self):
-        with pytest.raises(ValueError):
-            output_prefixes(A, 0)
+
+@st.composite
+def register_pairs(draw) -> tuple[Nlfsr, Nlfsr]:
+    """Two registers of one size with arbitrary feedbacks (non-bijective
+    updates allowed); the second redraws any subset of the first's
+    feedbacks, from none (the same register) to all (an unrelated one)."""
+    n = draw(st.integers(2, 6))
+    feedbacks = draw(st.lists(polys(n), min_size=n, max_size=n))
+    redrawn = list(feedbacks)
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        redrawn[i] = draw(polys(n))
+    return Nlfsr(feedbacks), Nlfsr(redrawn)
+
+
+class TestOutputClasses:
+    @given(register_pairs())
+    def test_equal_labels_exactly_when_streams_agree(self, pair):
+        # the two registers together have 2^(n+1) states, so any two
+        # streams that differ do so within their first 2^(n+1) bits
+        a, b = pair
+        size = 1 << a.n
+        length = 2 * size
+        sa = [a.output_sequence(int_to_state(x, a.n), length) for x in range(size)]
+        sb = [b.output_sequence(int_to_state(y, b.n), length) for y in range(size)]
+        ca, cb = output_classes(a, b)
+        for x in range(size):
+            for y in range(size):
+                assert (ca[x] == cb[y]) == (sa[x] == sb[y])
+                assert (ca[x] == ca[y]) == (sa[x] == sa[y])
+                assert (cb[x] == cb[y]) == (sb[x] == sb[y])
+
+    def test_size_mismatch(self):
+        two = Nlfsr.parse("n = 2\nf1 = x0\nf0 = x1")
+        with pytest.raises(ValueError, match="different sizes"):
+            output_classes(A, two)
 
 
 class TestBruteForceMatch:
@@ -68,8 +96,8 @@ class TestBruteForceMatch:
         assert brute_force_match(F, samples.ROTATION, parse_state("0001")) is None
 
     def test_rotation_states_match_only_themselves(self):
-        # a pure rotation emits its own state cyclically, so every output
-        # prefix pins the state exactly
+        # a pure rotation emits its own state cyclically, so its output
+        # stream pins the state exactly
         got = brute_force_match(samples.ROTATION, samples.ROTATION, parse_state("1010"))
         assert state_to_int(got) == 0b1010
 
@@ -117,14 +145,9 @@ class TestOutputSetEquivalence:
     def test_matching_covers_all_states(self):
         report = output_set_equivalent(F, B)
         assert set(report.matching) == set(range(16))
-        length = report.prefix_len
-        pf = output_prefixes(F, length)
-        pg = output_prefixes(B, length)
+        cf, cb = output_classes(F, B)
         for x, y in report.matching.items():
-            assert pf[x] == pg[y]
-
-    def test_default_prefix_len(self):
-        assert output_set_equivalent(A, B).prefix_len == default_prefix_len(4) == 20
+            assert cf[x] == cb[y]
 
     def test_limit_guard(self):
         with pytest.raises(ExhaustiveLimitError):
@@ -220,7 +243,7 @@ LIMIT_GUARDED = {
     "period_from": lambda m, lim: m.period_from((0,) * m.n, lim),
     "period_census": lambda m, lim: period_census(m, lim),
     "step_is_bijection": lambda m, lim: step_is_bijection(m, lim),
-    "output_prefixes": lambda m, lim: output_prefixes(m, default_prefix_len(m.n), lim),
+    "output_classes": lambda m, lim: output_classes(m, m, lim),
     "output_set_equivalent": lambda m, lim: output_set_equivalent(m, m, lim),
     "brute_force_match": lambda m, lim: brute_force_match(m, m, (0,) * m.n, lim),
 }
