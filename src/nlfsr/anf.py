@@ -7,6 +7,13 @@ equal terms cancel in pairs and every polynomial has a unique term set.
 Text form: ``+`` is XOR, ``*`` is AND, variables are ``x`` followed by
 digits, ``1`` is the constant term and ``0`` alone denotes the zero
 polynomial.  Example: ``x3 + x1 + x0*x1``.
+
+Evaluation is bit-sliced (Biham 1997): the value of x_k is an integer
+column holding x_k in each of W lanes, a polynomial's value is the XOR
+over its terms of the AND of their columns, and the constant term is the
+all-ones column.  A 0/1 state tuple is the one-lane case; a column per
+variable over all 2^n states evaluates the polynomial on every state at
+once.
 """
 
 from __future__ import annotations
@@ -46,15 +53,6 @@ class Monomial:
     @property
     def is_one(self) -> bool:
         return not self.indices
-
-    def evaluate(self, state: Sequence[int]) -> int:
-        """AND of the selected state bits; the constant 1 evaluates to 1."""
-        for k in self.indices:
-            if k >= len(state):
-                raise ValueError(f"monomial reads x{k} but state has {len(state)} bits")
-            if not state[k]:
-                return 0
-        return 1
 
     def shifted(self, delta: int) -> Monomial:
         """Add delta to every index; negative resulting indices are rejected."""
@@ -136,19 +134,24 @@ class Anf:
     def has_constant_term(self) -> bool:
         return Monomial() in self.terms
 
-    def evaluate(self, state: Sequence[int]) -> int:
-        """XOR over all product-terms evaluated at the given state bits."""
-        acc = 0
-        for t in self.terms:
-            acc ^= t.evaluate(state)
-        return acc
+    def evaluate(self, columns: Sequence[int], ones: int = 1) -> int:
+        """XOR over the terms of the AND of their columns, in every lane at once.
 
-    def evaluate_packed(self, packed: int) -> int:
-        """Evaluate at a state packed as an integer (bit i holds s_i)."""
+        columns[k] holds x_k in each of W lanes and ``ones`` is the W-lane
+        all-ones column, which is also the value of the constant term.
+        A 0/1 state tuple with the default ``ones`` is the one-lane case.
+        """
         acc = 0
-        for t in self.terms:
-            m = t.mask()
-            acc ^= packed & m == m
+        try:
+            for t in self.terms:
+                term = ones
+                for k in t.indices:
+                    term &= columns[k]
+                acc ^= term
+        except IndexError:
+            raise ValueError(
+                f"polynomial reads x{max(self.support())} but only {len(columns)} columns are given"
+            ) from None
         return acc
 
     def shifted(self, delta: int) -> Anf:

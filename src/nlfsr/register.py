@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .anf import Anf, Monomial, ParseError
 
@@ -75,6 +75,22 @@ class Violation:
 def is_ascii_digits(text: str) -> bool:
     """True for a non-empty run of ASCII digits, the only integers the file formats accept."""
     return text.isascii() and text.isdigit()
+
+
+def assignments(text: str) -> Iterator[tuple[int, str, str]]:
+    """The ``name = value`` lines of a register or profile file, as
+    (line number, name, value) with both sides stripped.
+
+    Blank lines are skipped; any other line without ``=`` is an error.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'name = value', got {line!r}")
+        name, _, value = line.partition("=")
+        yield lineno, name.strip(), value.strip()
 
 
 def parse_state(text: str, n: int | None = None) -> State:
@@ -282,12 +298,6 @@ class Nlfsr:
             t += 1
         return t - seen[x]
 
-    def period(self, limit: int | None = None) -> int:
-        """Longest cycle length over all 2^n initial states."""
-        from .verify import period_census  # verify imports this module
-
-        return period_census(self, limit).period
-
     # -- text form ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -310,15 +320,7 @@ class Nlfsr:
         """
         n: int | None = None
         feedbacks: dict[int, Anf] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected 'name = value', got {line!r}")
-            name, _, value = line.partition("=")
-            name = name.strip()
-            value = value.strip()
+        for lineno, name, value in assignments(text):
             if name == "n":
                 if n is not None:
                     raise ValueError(f"line {lineno}: duplicate n")
@@ -375,19 +377,10 @@ def _columns(n: int) -> list[int]:
 
 def _successor_columns(m: Nlfsr) -> list[int]:
     """Column i is bit i of the successor of every state: f_i evaluated once
-    over the whole state space as an XOR of ANDs of state-space columns."""
+    over the whole state space, one lane per state."""
     cols = _columns(m.n)
     ones = (1 << (1 << m.n)) - 1
-    out = []
-    for f in m.feedbacks:
-        acc = 0
-        for t in f.terms:
-            term = ones
-            for k in t.indices:
-                term &= cols[k]
-            acc ^= term
-        out.append(acc)
-    return out
+    return [f.evaluate(cols, ones) for f in m.feedbacks]
 
 
 def _lanes(bits: list[int], n: int) -> bytearray:

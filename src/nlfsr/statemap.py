@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .anf import Anf
-from .register import Nlfsr, State, require_well_formed, state_to_int
-from .transform import ShiftMove, apply_shift
+from .register import Nlfsr, State, int_to_state, state_to_int
+from .transform import GaloisProfile, ShiftMove, apply_shift
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,9 @@ class StateCorrection:
 
 def build_correction(g: Nlfsr) -> StateCorrection:
     """Precompute the state corrections of a uniform Galois register."""
-    require_well_formed(g)
-    tau = g.terminal_bit()
-    residuals = [g.residual(k) for k in range(tau, g.n)]
-    polys = []
-    for i in range(tau + 1, g.n):
-        acc = Anf.zero()
-        for k in range(tau, i):
-            acc = acc ^ residuals[k - tau].shifted(i - 1 - k)
-        polys.append(acc)
-    return StateCorrection(g.n, tau, tuple(polys))
+    profile = GaloisProfile.of_register(g)
+    polys = tuple(profile.telescoped(i) for i in range(profile.tau + 1, g.n))
+    return StateCorrection(g.n, profile.tau, polys)
 
 
 def single_shift_map(terms: Anf, source_bit: int, state: Sequence[int]) -> State:
@@ -179,7 +172,7 @@ def sequence_divergence(
         diffs.append(frozenset(i for i in range(original.n) if d >> i & 1))
         if d & ~allowed:
             ok = False
-        predicted = moved_down.evaluate_packed(y)
+        predicted = moved_down.evaluate(int_to_state(y, original.n))
         if bool(d & allowed) != bool(predicted):
             predictions_hold = False
         x = original.step_packed(x)

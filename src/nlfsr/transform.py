@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .anf import Anf, ParseError
-from .register import Nlfsr, StructureError, Violation, is_ascii_digits, require_well_formed
+from .register import Nlfsr, StructureError, Violation, assignments, is_ascii_digits, require_well_formed
 
 
 class ShiftRejected(StructureError):
@@ -85,6 +85,18 @@ class GaloisProfile:
             return Anf.zero()
         return self.residuals[i - self.tau]
 
+    def telescoped(self, i: int) -> Anf:
+        """XOR of the residuals of bits tau..i-1, each shifted up to sit just under bit i.
+
+        For tau < i < n this is the state correction of bit i.  It is also
+        what a lowering brings into bit i - 1 from above, so at i = n it is
+        the residual of the Fibonacci top feedback the profile lowers from.
+        """
+        acc = Anf.zero()
+        for k in range(self.tau, i):
+            acc = acc ^ self.residual(k).shifted(i - 1 - k)
+        return acc
+
     def register(self) -> Nlfsr:
         """The register this profile describes."""
         fbs = [Anf.var((i + 1) % self.n) ^ self.residual(i) for i in range(self.n)]
@@ -111,15 +123,7 @@ class GaloisProfile:
         lines for bits I in tau..n-1; omitted bits default to zero."""
         tau: int | None = None
         given: dict[int, Anf] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected 'name = value', got {line!r}")
-            name, _, value = line.partition("=")
-            name = name.strip()
-            value = value.strip()
+        for lineno, name, value in assignments(text):
             if name == "tau":
                 if tau is not None:
                     raise ValueError(f"line {lineno}: duplicate tau")
@@ -221,10 +225,7 @@ def lower_to_profile(fib: Nlfsr, profile: GaloisProfile) -> tuple[Nlfsr, list[Sh
     require_well_formed(fib)
     if not fib.is_fibonacci():
         raise StructureError("lowering starts from a Fibonacci register")
-    total = Anf.zero()
-    for k in range(profile.tau, fib.n):
-        total = total ^ profile.residual(k).shifted(fib.n - 1 - k)
-    if total != fib.residual(fib.n - 1):
+    if profile.telescoped(fib.n) != fib.residual(fib.n - 1):
         raise StructureError(
             "profile is inconsistent with the register: the residuals do not "
             "telescope to the top feedback"
@@ -233,9 +234,7 @@ def lower_to_profile(fib: Nlfsr, profile: GaloisProfile) -> tuple[Nlfsr, list[Sh
     current = fib
     moves: list[ShiftMove] = []
     for t in range(fib.n - 1, profile.tau, -1):
-        pending = Anf.zero()
-        for k in range(profile.tau, t):
-            pending = pending ^ profile.residual(k).shifted(t - k)
+        pending = profile.telescoped(t + 1) ^ profile.residual(t)
         if pending.is_zero:
             continue
         move = ShiftMove(t, t - 1, pending)
@@ -260,8 +259,4 @@ def reconstruct_fibonacci(g: Nlfsr) -> Nlfsr:
     top feedback; lowering the result back through the register's own
     profile returns g.
     """
-    require_well_formed(g)
-    top = Anf.var(0)
-    for k in range(g.terminal_bit(), g.n):
-        top = top ^ g.residual(k).shifted(g.n - 1 - k)
-    return Nlfsr.fibonacci(g.n, top)
+    return Nlfsr.fibonacci(g.n, Anf.var(0) ^ GaloisProfile.of_register(g).telescoped(g.n))

@@ -97,7 +97,6 @@ def test_criterion_04_periods():
             census = period_census(m)
             assert census.total == 16
             assert census.period == 15
-            assert m.period() == 15
 
 
 def test_criterion_05_terminal_bits():

@@ -33,7 +33,7 @@ class TestMonomial:
         m = Monomial()
         assert m.is_one
         assert str(m) == "1"
-        assert m.evaluate((0, 0)) == 1
+        assert Anf.one().evaluate((0, 0)) == 1
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -61,12 +61,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             Anf.parse("x5").evaluate((1, 0))
 
-    @given(polys, st.lists(st.integers(0, 1), min_size=8, max_size=8))
-    def test_matches_reference(self, p, state):
-        expected = reference_eval([t.indices for t in p.terms], state)
-        assert p.evaluate(state) == expected
-        packed = sum(b << i for i, b in enumerate(state))
-        assert p.evaluate_packed(packed) == expected
+    @given(polys, st.lists(st.lists(st.integers(0, 1), min_size=8, max_size=8), min_size=1, max_size=70))
+    def test_matches_reference(self, p, states):
+        # lane j of column k holds bit k of states[j]; W = 70 crosses a machine word
+        term_sets = [t.indices for t in p.terms]
+        assert p.evaluate(states[0]) == reference_eval(term_sets, states[0])
+        columns = [sum(s[k] << j for j, s in enumerate(states)) for k in range(8)]
+        lanes = p.evaluate(columns, (1 << len(states)) - 1)
+        for j, s in enumerate(states):
+            assert lanes >> j & 1 == reference_eval(term_sets, s)
+        assert lanes >> len(states) == 0
 
     @given(polys)
     def test_truth_table_agreement(self, p):

@@ -1,11 +1,14 @@
+import io
 import random
 import re
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nlfsr import register, samples
+from nlfsr import cli, register, samples
 from nlfsr.anf import Anf, Monomial, ParseError
 from nlfsr.register import (
     ExhaustiveLimitError,
@@ -18,8 +21,10 @@ from nlfsr.register import (
     successor_table,
 )
 from nlfsr.transform import GaloisProfile
+from nlfsr.verify import period_census
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
+GALOIS_A_FILE = Path(__file__).resolve().parent.parent / "demos" / "registers" / "galois_a.reg"
 
 
 def parse_profile(text: str) -> GaloisProfile:
@@ -246,7 +251,7 @@ class TestStructure:
 class TestPeriod:
     def test_trio_period_15(self):
         for m in (A, B, F):
-            assert m.period() == 15
+            assert period_census(m).period == 15
 
     def test_period_from_every_state(self):
         for m in (A, B, F):
@@ -263,13 +268,13 @@ class TestPeriod:
         assert m.period_from((1, 0)) == 1
 
     def test_rotation_period(self):
-        assert samples.ROTATION.period() == 4
+        assert period_census(samples.ROTATION).period == 4
         two = Nlfsr.parse("n = 2\nf1 = x0\nf0 = x1")
-        assert two.period() == 2
+        assert period_census(two).period == 2
 
     def test_limit_guard(self):
         with pytest.raises(ExhaustiveLimitError):
-            A.period(limit=3)
+            period_census(A, limit=3)
         with pytest.raises(ExhaustiveLimitError):
             A.period_from((0, 0, 0, 0), limit=3)
 
@@ -395,6 +400,14 @@ def mutated(draw, texts):
     return text
 
 
+@st.composite
+def move_texts(draw) -> str:
+    """``from,to,poly`` texts of moves to a lower bit of a 4-bit register."""
+    from_bit = draw(st.integers(1, 3))
+    to_bit = draw(st.integers(0, from_bit - 1))
+    return f"{from_bit},{to_bit},{draw(polys(4))}"
+
+
 def check_file_error(err: ValueError, text: str) -> None:
     """A file-format error names its line, unless it reports something missing."""
     message = str(err)
@@ -442,3 +455,8 @@ class TestParserFuzz:
             check_file_error(err, text)
             return
         assert GaloisProfile.parse(str(q), p.n) == q
+
+    @given(mutated(move_texts()))
+    def test_mutated_move_exits_cleanly(self, text):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.main(["transform", str(GALOIS_A_FILE), "--move", text]) in (0, 2)

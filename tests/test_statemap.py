@@ -23,6 +23,18 @@ TALL = Nlfsr.parse("n = 5\nf4 = x0 + x1\nf3 = x4\nf2 = x3\nf1 = x2 + x1\nf0 = x1
 TALL_FIB = Nlfsr.parse("n = 5\nf4 = x0 + x1 + x4\nf3 = x4\nf2 = x3\nf1 = x2\nf0 = x1")
 
 
+def batch_outputs(m: Nlfsr, states: list[tuple[int, ...]], steps: int) -> list[int]:
+    """Entry t holds the output bit at step t of every start state, lane j
+    for states[j]: the register runs on W-bit columns, one lane per state."""
+    ones = (1 << len(states)) - 1
+    columns = [sum(s[k] << j for j, s in enumerate(states)) for k in range(m.n)]
+    out = []
+    for _ in range(steps):
+        out.append(columns[0])
+        columns = [f.evaluate(columns, ones) for f in m.feedbacks]
+    return out
+
+
 class TestSingleShiftMap:
     def test_published_fixup(self):
         got = single_shift_map(Anf.parse("x1"), 2, parse_state("0001"))
@@ -150,6 +162,26 @@ class TestMapping:
                 r = corr.apply(s)
                 assert pf[x] == pg[sum(b << i for i, b in enumerate(r))]
                 assert corr.invert(r) == s
+
+    @pytest.mark.parametrize("n", [24, 64, 128])
+    def test_mapping_at_cryptographic_sizes(self, n):
+        # far above the exhaustive limit: both registers run side by side
+        # from 1024 random Fibonacci states and their corrected images;
+        # seed 3 gives lowerings of 16, 9 and 14 moves at these sizes
+        rng = random.Random(3)
+        fib, _, galois, moves = random_lowering(rng, n)
+        assert len(moves) >= 9
+        corr = build_correction(galois)
+        states = [int_to_state(rng.getrandbits(n), n) for _ in range(1024)]
+        mapped = [corr.apply(s) for s in states]
+        assert sum(r != s for r, s in zip(mapped, states)) >= 256
+        out_f = batch_outputs(fib, states, 500)
+        out_g = batch_outputs(galois, mapped, 500)
+        assert out_f == out_g
+        # the batch run against stepping single states through step_packed
+        for j in (0, 1023):
+            assert fib.output_sequence(states[j], 500) == [c >> j & 1 for c in out_f]
+            assert galois.output_sequence(mapped[j], 500) == [c >> j & 1 for c in out_g]
 
     def test_inverse_needs_forward_substitution(self):
         # corrections of TALL read bits above its terminal bit, so
