@@ -130,10 +130,6 @@ class Anf:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def has_constant_term(self) -> bool:
-        return Monomial() in self.terms
-
     def evaluate(self, columns: Sequence[int], ones: int = 1) -> int:
         """XOR over the terms of the AND of their columns, in every lane at once.
 

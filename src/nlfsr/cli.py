@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import samples
 from .anf import Anf, ParseError
@@ -29,20 +30,23 @@ from .statemap import build_correction
 from .transform import GaloisProfile, ShiftMove, apply_shift, lower_to_profile
 from .verify import output_set_equivalent, period_census
 
+T = TypeVar("T")
 
-def _load_register(path: str) -> Nlfsr:
+
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """Read a register or profile file; errors name the file."""
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e}") from None
     try:
-        return Nlfsr.parse(text)
+        return parse(text)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
 def _cmd_simulate(args) -> int:
-    m = _load_register(args.register)
+    m = _load(args.register, Nlfsr.parse)
     state = parse_state(args.init, m.n)
     if args.states:
         for s in m.state_sequence(state, args.steps):
@@ -63,12 +67,9 @@ def _parse_move(text: str) -> ShiftMove:
 
 
 def _cmd_transform(args) -> int:
-    m = _load_register(args.register)
+    m = _load(args.register, Nlfsr.parse)
     if args.profile:
-        try:
-            profile = GaloisProfile.parse(Path(args.profile).read_text(), m.n)
-        except OSError as e:
-            raise ValueError(f"cannot read {args.profile}: {e}") from None
+        profile = _load(args.profile, lambda text: GaloisProfile.parse(text, m.n))
         result, moves = lower_to_profile(m, profile)
     else:
         move = _parse_move(args.move)
@@ -81,7 +82,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_map_state(args) -> int:
-    g = _load_register(args.register)
+    g = _load(args.register, Nlfsr.parse)
     state = parse_state(args.init, g.n)
     correction = build_correction(g)
     if args.direction == "fib2gal":
@@ -92,8 +93,8 @@ def _cmd_map_state(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    a = _load_register(args.register_a)
-    b = _load_register(args.register_b)
+    a = _load(args.register_a, Nlfsr.parse)
+    b = _load(args.register_b, Nlfsr.parse)
     report = output_set_equivalent(a, b)
     print(report.verdict)
     if report.witness is not None:
@@ -103,7 +104,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_period(args) -> int:
-    m = _load_register(args.register)
+    m = _load(args.register, Nlfsr.parse)
     census = period_census(m)
     if args.census:
         print(census)

@@ -72,6 +72,12 @@ class Violation:
         return f"bit {self.bit}: {self.kind}{v}"
 
 
+def check_state(state: Sequence[int], n: int) -> None:
+    """Refuse a state that does not have exactly n bits."""
+    if len(state) != n:
+        raise ValueError(f"state has {len(state)} bits, register has {n}")
+
+
 def is_ascii_digits(text: str) -> bool:
     """True for a non-empty run of ASCII digits, the only integers the file formats accept."""
     return text.isascii() and text.isdigit()
@@ -169,13 +175,9 @@ class Nlfsr:
 
     # -- stepping ---------------------------------------------------------
 
-    def _check_state(self, state: Sequence[int]) -> None:
-        if len(state) != self.n:
-            raise ValueError(f"state has {len(state)} bits, register has {self.n}")
-
     def step(self, state: Sequence[int]) -> State:
         """One clock cycle: every bit updates simultaneously from the old state."""
-        self._check_state(state)
+        check_state(state, self.n)
         return int_to_state(self.step_packed(state_to_int(state)), self.n)
 
     def step_packed(self, x: int) -> int:
@@ -190,7 +192,7 @@ class Nlfsr:
 
     def output_sequence(self, state: Sequence[int], steps: int) -> list[int]:
         """The first ``steps`` output bits (bit 0), starting with the given state."""
-        self._check_state(state)
+        check_state(state, self.n)
         if steps < 0:
             raise ValueError("steps must be non-negative")
         x = state_to_int(state)
@@ -202,7 +204,7 @@ class Nlfsr:
 
     def state_sequence(self, state: Sequence[int], steps: int) -> list[State]:
         """The first ``steps`` states, starting with the given state itself."""
-        self._check_state(state)
+        check_state(state, self.n)
         if steps < 0:
             raise ValueError("steps must be non-negative")
         x = state_to_int(state)
@@ -237,47 +239,37 @@ class Nlfsr:
             )
         return g
 
-    def dependence_violations(self) -> list[Violation]:
-        """Check the structural register contract on every bit.
+    def violations(self) -> list[Violation]:
+        """Every breach of the register contract; empty when the register keeps it.
 
-        Each f_i must read its shift tap x_{(i+1) mod n} and may otherwise
-        read only variables x_0..x_i.  Degenerate registers can still be
-        built and simulated; transformations and state mappings refuse them.
+        The window: each f_i must read its shift tap x_{(i+1) mod n} and
+        may otherwise read only variables x_0..x_i.  Uniformity: every
+        feedback is singular (f_i = tap XOR residual with the residual
+        free of the tap) and every residual above the terminal bit reads
+        only variables at or below it.  All window violations come first,
+        then all uniformity ones, each group by bit.  Degenerate registers
+        can still be built and simulated; transformations and state
+        mappings refuse them.
         """
-        out = []
+        window: list[Violation] = []
+        uniformity: list[Violation] = []
+        tau = self._terminal
         for i, f in enumerate(self.feedbacks):
             tap = (i + 1) % self.n
             sup = f.support()
             if tap not in sup:
-                out.append(Violation("missing-shift-tap", i, tap))
+                window.append(Violation("missing-shift-tap", i, tap))
             for k in sorted(sup):
                 if k > i and k != tap:
-                    out.append(Violation("reads-outside-window", i, k))
-        return out
-
-    def uniformity_violations(self) -> list[Violation]:
-        """Why the register is not uniform; empty when it is.
-
-        Uniform means every feedback is singular (f_i = tap XOR residual
-        with the residual free of the tap) and every residual above the
-        terminal bit reads only variables at or below it.
-        """
-        out = []
-        tau = self._terminal
-        for i in range(self.n):
-            tap = (i + 1) % self.n
-            g = self.feedbacks[i] ^ Anf.var(tap)
-            if tap in g.support():
-                out.append(Violation("non-singular", i, tap))
-                continue
-            if i > tau:
-                for k in sorted(g.support()):
+                    window.append(Violation("reads-outside-window", i, k))
+            residual_reads = (f ^ Anf.var(tap)).support()
+            if tap in residual_reads:
+                uniformity.append(Violation("non-singular", i, tap))
+            elif i > tau:
+                for k in sorted(residual_reads):
                     if k > tau:
-                        out.append(Violation("reads-above-terminal", i, k))
-        return out
-
-    def is_uniform(self) -> bool:
-        return not self.uniformity_violations()
+                        uniformity.append(Violation("reads-above-terminal", i, k))
+        return window + uniformity
 
     # -- whole-orbit analysis ----------------------------------------------
 
@@ -287,7 +279,7 @@ class Nlfsr:
         The walk from a state may have a non-repeating tail before it
         enters a cycle; only the cycle length is reported.
         """
-        self._check_state(state)
+        check_state(state, self.n)
         check_limit(self.n, limit)
         seen: dict[int, int] = {}
         x = state_to_int(state)
@@ -427,6 +419,6 @@ def require_well_formed(m: Nlfsr) -> None:
     shift tap and otherwise only its own window, and the residuals meet
     the uniformity conditions.
     """
-    violations = m.dependence_violations() + m.uniformity_violations()
+    violations = m.violations()
     if violations:
         raise StructureError("register is not uniform and well-formed", violations)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .anf import Anf
-from .register import Nlfsr, State, int_to_state, state_to_int
+from .register import Nlfsr, State, check_state, int_to_state, state_to_int
 from .transform import GaloisProfile, ShiftMove, apply_shift
 
 
@@ -67,16 +67,12 @@ class StateCorrection:
         enough: residuals shifted upward can end up reading only bits above
         the terminal bit, where the state is not constrained.
         """
-        self._check(state)
+        check_state(state, self.n)
         return self.zero_prefix_fixed and not any(state[: self.tau + 1])
-
-    def _check(self, state: Sequence[int]) -> None:
-        if len(state) != self.n:
-            raise ValueError(f"state has {len(state)} bits, register has {self.n}")
 
     def apply(self, state: Sequence[int]) -> State:
         """Map a Fibonacci initial state to the matching Galois initial state."""
-        self._check(state)
+        check_state(state, self.n)
         out = list(state)
         for j, p in enumerate(self.polys):
             out[self.tau + 1 + j] ^= p.evaluate(state)
@@ -89,7 +85,7 @@ class StateCorrection:
         correction j reads only bits below tau + 1 + j, and those are
         already in Fibonacci form when it runs.
         """
-        self._check(state)
+        check_state(state, self.n)
         out = list(state)
         for j, p in enumerate(self.polys):
             out[self.tau + 1 + j] ^= p.evaluate(out)
@@ -159,8 +155,7 @@ def sequence_divergence(
         raise ValueError("divergence tracking needs a one-bit move")
     if apply_shift(original, move) != shifted:
         raise ValueError("shifted register does not match the move")
-    if len(state) != original.n:
-        raise ValueError(f"state has {len(state)} bits, register has {original.n}")
+    check_state(state, original.n)
     moved_down = move.terms.shifted(-1)
     x = state_to_int(state)
     y = state_to_int(single_shift_map(move.terms, move.from_bit, state))

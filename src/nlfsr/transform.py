@@ -158,7 +158,7 @@ def _apply_one(m: Nlfsr, move: ShiftMove) -> Nlfsr:
     """One guarded hop; preconditions on m are the caller's responsibility."""
     source = m.residual(move.from_bit)
     if not move.terms.terms <= source.terms:
-        missing = next(iter(move.terms.terms - source.terms))
+        missing = min(move.terms.terms - source.terms)
         raise ShiftRejected(
             f"term {missing} is not present in the residual of bit {move.from_bit}"
         )
@@ -168,7 +168,7 @@ def _apply_one(m: Nlfsr, move: ShiftMove) -> Nlfsr:
         move.from_bit, move.to_bit, m.n
     )
     result = Nlfsr(fbs)
-    violations = result.dependence_violations() + result.uniformity_violations()
+    violations = result.violations()
     if violations:
         raise ShiftRejected(
             f"shifting {move.from_bit} -> {move.to_bit} breaks the register structure",

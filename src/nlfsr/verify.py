@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .register import Nlfsr, State, int_to_state, state_to_int, successor_table
+from .register import Nlfsr, State, check_state, int_to_state, state_to_int, successor_table
 
 
 def output_classes(a: Nlfsr, b: Nlfsr, limit: int | None = None) -> tuple[list[int], list[int]]:
@@ -57,8 +57,7 @@ def brute_force_match(
     """
     if a.n != b.n:
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
-    if len(state) != a.n:
-        raise ValueError(f"state has {len(state)} bits, register has {a.n}")
+    check_state(state, a.n)
     ca, cb = output_classes(a, b, limit)
     target = ca[state_to_int(state)]
     return int_to_state(cb.index(target), b.n) if target in cb else None
@@ -71,16 +70,14 @@ Verdict = Literal["equivalent", "not-equivalent"]
 class EquivalenceReport:
     """Outcome of the exhaustive output-set comparison of two registers.
 
-    matching maps every packed state of the first register to the
-    smallest packed state of the second with the same output stream; it
-    is present exactly when every state matched in both directions.
     witness is a state of one register whose output stream no state of
     the other reproduces, present exactly for the not-equivalent verdict
-    (witness_side tells which register it belongs to).
+    (witness_side tells which register it belongs to).  It is the
+    smallest such state of the first register, or, when every state of
+    the first register has a match, the smallest such state of the second.
     """
 
     verdict: Verdict
-    matching: dict[int, int] | None = None
     witness: State | None = None
     witness_side: Literal["first", "second"] | None = None
 
@@ -92,29 +89,17 @@ def output_set_equivalent(
 ) -> EquivalenceReport:
     """Decide whether two registers generate the same set of output sequences.
 
-    Every initial state of each register must have a counterpart in the
-    other producing the identical output stream; one unmatched state on
-    either side settles non-equivalence with that state as witness.
+    The registers are equivalent exactly when their states carry the same
+    set of output classes; a class present on one side only settles
+    non-equivalence with a state of that class as witness.
     """
     ca, cb = output_classes(a, b, limit)
-    first_b: dict[int, int] = {}
-    for y in range(len(cb) - 1, -1, -1):
-        first_b[cb[y]] = y
-    matching = {}
-    for x, c in enumerate(ca):
-        y = first_b.get(c)
-        if y is None:
-            return EquivalenceReport(
-                "not-equivalent", witness=int_to_state(x, a.n), witness_side="first"
-            )
-        matching[x] = y
-    seen_a = set(ca)
-    for y, c in enumerate(cb):
-        if c not in seen_a:
-            return EquivalenceReport(
-                "not-equivalent", witness=int_to_state(y, b.n), witness_side="second"
-            )
-    return EquivalenceReport("equivalent", matching=matching)
+    for side, labels, other in (("first", ca, cb), ("second", cb, ca)):
+        missing = set(labels).difference(other)
+        if missing:
+            x = next(x for x, c in enumerate(labels) if c in missing)
+            return EquivalenceReport("not-equivalent", int_to_state(x, a.n), side)
+    return EquivalenceReport("equivalent")
 
 
 @dataclass(frozen=True)

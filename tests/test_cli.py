@@ -89,6 +89,12 @@ class TestTransform:
         assert main(["simulate", str(again), "--init", "0101", "--steps", "15"]) == 0
         assert capsys.readouterr().out == "100010110100111\n"
 
+    def test_profile_errors_name_the_file(self, regs, tmp_path, capsys):
+        prof = tmp_path / "bad.prof"
+        prof.write_text("tau = 1\ng9 = x0\n")
+        assert main(["transform", regs["f"], "--profile", str(prof)]) == 2
+        assert capsys.readouterr().err == f"error: {prof}: line 2: bit 9 outside 1..3\n"
+
     def test_rejected_move_exits_2(self, regs, capsys):
         assert main(["transform", regs["b"], "--move", "1,0,x0"]) == 2
         assert "error" in capsys.readouterr().err

@@ -14,9 +14,11 @@ from nlfsr.register import (
     ExhaustiveLimitError,
     Nlfsr,
     StructureError,
+    Violation,
     format_state,
     int_to_state,
     parse_state,
+    require_well_formed,
     state_to_int,
     successor_table,
 )
@@ -210,16 +212,14 @@ class TestStructure:
 
     def test_trio_uniform(self):
         for m in (A, B, F):
-            assert m.is_uniform()
-            assert m.uniformity_violations() == []
-            assert m.dependence_violations() == []
+            assert m.violations() == []
 
     def test_condition_b_violation(self):
         # GALOIS_B with its bit-2 residual changed to read x2: terminal bit
         # is 1, so a residual above it may not read past bit 1
         m = Nlfsr.parse("n = 4\nf3 = x0 + x1\nf2 = x3 + x2*x0\nf1 = x2 + x0\nf0 = x1")
-        assert not m.is_uniform()
-        kinds = {(v.kind, v.bit, v.variable) for v in m.uniformity_violations()}
+        assert m.violations()
+        kinds = {(v.kind, v.bit, v.variable) for v in m.violations()}
         assert ("reads-above-terminal", 2, 2) in kinds
 
     def test_fibonacci_always_uniform(self):
@@ -231,13 +231,38 @@ class TestStructure:
                 top = top ^ Anf([Monomial(rng.sample(range(1, n), min(2, n - 1)))])
             m = Nlfsr.fibonacci(n, top)
             assert m.terminal_bit() == n - 1
-            assert m.is_uniform()
+            assert m.violations() == []
 
     def test_dependence_violations_reported_not_fatal(self):
         m = Nlfsr.parse("n = 3\nf2 = x0\nf1 = x0\nf0 = x1")  # bit 1 ignores x2
-        kinds = {(v.kind, v.bit) for v in m.dependence_violations()}
+        kinds = {(v.kind, v.bit) for v in m.violations()}
         assert ("missing-shift-tap", 1) in kinds
         m.step((1, 1, 0))  # still simulates
+
+    def test_violations_follow_the_documented_contract(self):
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(400):
+            m = contract_test_register(rng, rng.randint(2, 7))
+            assert m.violations() == reference_violations(m)
+            seen.update(v.kind for v in m.violations())
+        assert seen == {
+            "missing-shift-tap",
+            "reads-outside-window",
+            "non-singular",
+            "reads-above-terminal",
+        }
+
+    def test_window_violations_listed_before_uniformity_ones(self):
+        # bit 1 misses its tap x2 (a window violation) while bit 0 is
+        # non-singular (a uniformity one); the window comes first anyway
+        m = Nlfsr.parse("n = 3\nf2 = x0\nf1 = x0\nf0 = x1 + x0*x1")
+        with pytest.raises(StructureError) as err:
+            require_well_formed(m)
+        assert str(err.value) == (
+            "register is not uniform and well-formed: bit 1: missing-shift-tap x2; "
+            "bit 0: non-singular x1; bit 1: non-singular x2"
+        )
 
     def test_pure_shift_property_of_fibonacci(self):
         rng = random.Random(2)
@@ -246,6 +271,42 @@ class TestStructure:
             s = int_to_state(x, 4)
             nxt = F.step(s)
             assert nxt[:3] == s[1:]
+
+
+def contract_test_register(rng: random.Random, n: int) -> Nlfsr:
+    """A register that keeps or breaks each part of the contract at random:
+    pure shifts below a random bit, then taps that may be missing and
+    terms (the constant among them) over any variable."""
+    shifts = rng.randint(0, n - 1)
+    feedbacks = [Anf.var(i + 1) for i in range(shifts)]
+    for i in range(shifts, n):
+        terms = [Monomial(((i + 1) % n,))] if rng.random() < 0.8 else []
+        for _ in range(rng.randint(0, 3)):
+            terms.append(Monomial(rng.sample(range(n), rng.randint(0, min(3, n)))))
+        feedbacks.append(Anf(terms))
+    return Nlfsr(feedbacks)
+
+
+def reference_violations(m: Nlfsr) -> list[Violation]:
+    """The contract as the Violation docstring states it, read term by term:
+    every window violation by bit, then every uniformity one by bit."""
+    n = m.n
+    tau = next((i for i in range(n - 1) if m.feedbacks[i] != Anf.var(i + 1)), n - 1)
+    window, uniformity = [], []
+    for i, f in enumerate(m.feedbacks):
+        tap = (i + 1) % n
+        reads = sorted({k for t in f.terms for k in t.indices})
+        if tap not in reads:
+            window.append(Violation("missing-shift-tap", i, tap))
+        window += [Violation("reads-outside-window", i, k) for k in reads if k > i and k != tap]
+        tap_term = Monomial((tap,))
+        rest = [t for t in f.terms if t != tap_term]
+        if tap_term not in f.terms or any(tap in t.indices for t in rest):
+            uniformity.append(Violation("non-singular", i, tap))
+        elif i > tau:
+            residual_reads = sorted({k for t in rest for k in t.indices})
+            uniformity += [Violation("reads-above-terminal", i, k) for k in residual_reads if k > tau]
+    return window + uniformity
 
 
 class TestPeriod:
