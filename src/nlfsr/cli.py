@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -23,6 +24,7 @@ from .register import (
     Nlfsr,
     StructureError,
     format_state,
+    int_to_state,
     is_ascii_digits,
     parse_state,
 )
@@ -47,12 +49,15 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
 
 def _cmd_simulate(args) -> int:
     m = _load(args.register, Nlfsr.parse)
-    state = parse_state(args.init, m.n)
+    states = m.run(parse_state(args.init, m.n), args.steps)
     if args.states:
-        for s in m.state_sequence(state, args.steps):
-            print(format_state(s))
+        for x in states:
+            print(format_state(int_to_state(x, m.n)))
     else:
-        print("".join(str(b) for b in m.output_sequence(state, args.steps)))
+        # written in chunks as they are made, so memory does not grow with --steps
+        chunks = iter(lambda: "".join(["01"[x & 1] for x in islice(states, 4096)]), "")
+        sys.stdout.writelines(chunks)
+        print()
     return 0
 
 

@@ -190,29 +190,27 @@ class Nlfsr:
             out |= acc << i
         return out
 
-    def output_sequence(self, state: Sequence[int], steps: int) -> list[int]:
-        """The first ``steps`` output bits (bit 0), starting with the given state."""
+    def run(self, state: Sequence[int], steps: int) -> Iterator[int]:
+        """The first ``steps`` packed states, starting with the given state
+        itself, made one at a time as they are read."""
         check_state(state, self.n)
         if steps < 0:
             raise ValueError("steps must be non-negative")
-        x = state_to_int(state)
-        out = []
-        for _ in range(steps):
-            out.append(x & 1)
-            x = self.step_packed(x)
-        return out
+
+        def states(x: int) -> Iterator[int]:
+            for _ in range(steps):
+                yield x
+                x = self.step_packed(x)
+
+        return states(state_to_int(state))
+
+    def output_sequence(self, state: Sequence[int], steps: int) -> list[int]:
+        """The first ``steps`` output bits (bit 0), starting with the given state."""
+        return [x & 1 for x in self.run(state, steps)]
 
     def state_sequence(self, state: Sequence[int], steps: int) -> list[State]:
         """The first ``steps`` states, starting with the given state itself."""
-        check_state(state, self.n)
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        x = state_to_int(state)
-        seq = []
-        for _ in range(steps):
-            seq.append(int_to_state(x, self.n))
-            x = self.step_packed(x)
-        return seq
+        return [int_to_state(x, self.n) for x in self.run(state, steps)]
 
     # -- structure --------------------------------------------------------
 
@@ -367,49 +365,67 @@ def _columns(n: int) -> list[int]:
     return cols
 
 
-def _successor_columns(m: Nlfsr) -> list[int]:
-    """Column i is bit i of the successor of every state: f_i evaluated once
-    over the whole state space, one lane per state."""
-    cols = _columns(m.n)
-    ones = (1 << (1 << m.n)) - 1
-    return [f.evaluate(cols, ones) for f in m.feedbacks]
+def walk_columns(m: Nlfsr, steps: int, limit: int | None = None) -> tuple[list[int], list[int]]:
+    """Step every state of the register ``steps`` times at once, bit-sliced.
 
-
-def _lanes(bits: list[int], n: int) -> bytearray:
-    """Transpose n columns of 2^n bits into one native-order 4-byte lane per state."""
-    size = 1 << n
-    low_bits = int.from_bytes(b"\x01" * size, "little")  # 0x0101...01, one 1 per state
-    lanes = bytearray(4 * size)
-    for j in range(0, n, 8):
-        group = 0  # byte x holds bits j..j+7 of the successor of x
-        for i in range(j, min(j + 8, n)):
-            spread = int.from_bytes(format(bits[i], f"0{size}b").encode()[::-1], "little")
-            group |= (spread & low_bits) << (i - j)
-        byte = j // 8 if sys.byteorder == "little" else 3 - j // 8
-        lanes[byte::4] = group.to_bytes(size, "little")
-    return lanes
-
-
-def successor_table(m: Nlfsr, limit: int | None = None) -> list[int]:
-    """Entry x is the packed successor of packed state x, over all 2^n states.
-
-    Every whole-state-space scan starts from this table.  It equals
-    ``[m.step_packed(x) for x in range(1 << m.n)]`` but is built
-    bit-sliced: each variable x_k over all states is one 2^n-bit column
-    (bit x of the column is bit k of x), and each feedback is evaluated
-    once over all states as an XOR of ANDs of columns.  The n result
-    columns are then transposed, eight at a time, into one byte of a
-    4-byte lane per state, and the lanes are read out as unsigned ints.
-    A lane holds at most a 32-bit state, so registers above 32 bits are
-    refused with ExhaustiveLimitError, whatever ``limit`` allows.
+    Each variable x_k over all 2^n states is one 2^n-bit column (bit x
+    of the column is bit k of x), and each step evaluates every feedback
+    once over all states as an XOR of ANDs of columns.  Returns
+    ``(outputs, state)``: outputs[t] is column 0 before step t, so bit x
+    of it is the output at time t from state x, and state[i] is column i
+    of the states reached after the last step.  ``transpose`` turns
+    either list into one lane per state.  Successor tables hold states
+    in 4-byte lanes and the (n+1)-bit windows of the equivalence oracle
+    fit 8-byte ones, so registers above 32 bits are refused with
+    ExhaustiveLimitError, whatever ``limit`` allows.
     """
     check_limit(m.n, limit)
     if m.n > 32:
         raise ExhaustiveLimitError(
             f"register has {m.n} bits, successor tables hold states of at most 32"
         )
-    # the columns are freed before the lanes are read out into the table
-    return memoryview(_lanes(_successor_columns(m), m.n)).cast("I").tolist()
+    state = _columns(m.n)
+    ones = (1 << (1 << m.n)) - 1
+    outputs = []
+    for _ in range(steps):
+        outputs.append(state[0])
+        state = [f.evaluate(state, ones) for f in m.feedbacks]
+    return outputs, state
+
+
+def transpose(columns: Sequence[int], n: int) -> memoryview:
+    """Lane x packs bit x of every 2^n-bit column, column i into bit i.
+
+    The columns are spread eight at a time into one byte of a native-order
+    lane per state, 4 bytes wide for up to 32 columns and 8 bytes for up
+    to 64.  The lanes come back as a memoryview of unsigned ints, so that
+    the columns can be freed before ``tolist()`` reads them out.
+    """
+    width = 4 if len(columns) <= 32 else 8
+    if len(columns) > 64:
+        raise ValueError(f"{len(columns)} columns do not fit a 64-bit lane")
+    size = 1 << n
+    low_bits = int.from_bytes(b"\x01" * size, "little")  # 0x0101...01, one 1 per state
+    lanes = bytearray(width * size)
+    for j in range(0, len(columns), 8):
+        group = 0  # byte x holds bits j..j+7 of lane x
+        for i in range(j, min(j + 8, len(columns))):
+            # one ASCII digit per state, state 0 last: bit x lands in the low bit of byte x
+            spread = int.from_bytes(format(columns[i], f"0{size}b").encode(), "big")
+            group |= (spread & low_bits) << (i - j)
+        byte = j // 8 if sys.byteorder == "little" else width - 1 - j // 8
+        lanes[byte::width] = group.to_bytes(size, "little")
+    return memoryview(lanes).cast("I" if width == 4 else "Q")
+
+
+def successor_table(m: Nlfsr, limit: int | None = None) -> list[int]:
+    """Entry x is the packed successor of packed state x, over all 2^n states.
+
+    Every whole-state-space scan but the equivalence oracle starts from
+    this table, the one-step case of ``walk_columns``.  It equals
+    ``[m.step_packed(x) for x in range(1 << m.n)]``.
+    """
+    return transpose(walk_columns(m, 1, limit)[1], m.n).tolist()
 
 
 def require_well_formed(m: Nlfsr) -> None:

@@ -3,7 +3,13 @@
 These checks never use the algebraic machinery they are meant to judge.
 Equivalence of two registers is decided by labelling every initial state
 of both with a class of its infinite output stream and comparing the
-classes; cycle structure is decided by walking the full successor graph.
+classes.  One bit-sliced walk per register steps all 2^n states n + 1
+times at once.  The labels start as each state's (n+1)-bit output
+window.  Moore's test stops there when the n-bit windows split the
+states exactly as the (n+1)-bit ones do, as they always do for a
+Fibonacci register and its lowerings.  Otherwise the labels are refined
+by pointer doubling, starting from the (n+1)-step jump the same walk
+ends on.  Cycle structure is decided by walking the full successor graph.
 
 Everything is a pure function of immutable registers; scans over initial
 states can be partitioned freely and merged by min/union/sum.
@@ -14,7 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .register import Nlfsr, State, check_state, int_to_state, state_to_int, successor_table
+from .register import (
+    Nlfsr,
+    State,
+    check_state,
+    int_to_state,
+    state_to_int,
+    successor_table,
+    transpose,
+    walk_columns,
+)
 
 
 def output_classes(a: Nlfsr, b: Nlfsr, limit: int | None = None) -> tuple[list[int], list[int]]:
@@ -22,22 +37,41 @@ def output_classes(a: Nlfsr, b: Nlfsr, limit: int | None = None) -> tuple[list[i
 
     Entry x of each list labels packed state x; two states, of the same
     register or not, get the same label exactly when they emit the same
-    infinite output stream.  States of both registers are refined
-    together (Moore's partition refinement with pointer doubling): labels
-    start as the output bit, and each round relabels a state by its own
-    label and the label of the state 2^k steps ahead, which doubles the
-    output length the labels stand for.  When a round adds no label, the
-    2^k and 2^(k+1) output prefixes split the states alike, so every
-    longer prefix does too and the labels are exact.
+    infinite output stream.
+
+    ``walk_columns`` steps each register's whole state space n + 1
+    times, and each state's first label is its (n+1)-bit output window:
+    bit t is its output at time t.  An n-bit window is the shortest that
+    can tell 2^n states apart, and one more bit allows Moore's stop test
+    (Moore 1956): if no two distinct windows, over both registers, differ
+    only in their last bit, the n- and (n+1)-bit output prefixes split
+    the states alike, so every longer prefix does too and the windows are
+    the exact labels.  Otherwise the windows are relabelled densely and
+    the states after the walk give the (n+1)-step jump.  Each round of
+    pointer doubling then relabels every state of both registers by its
+    own label and the label of the state one jump ahead, and squares the
+    jump, so the labels stand for prefixes of 2(n+1), 4(n+1), ... bits.
+    When a round adds no label, a prefix and its double split the states
+    alike, and the labels are exact.
     """
     if a.n != b.n:
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
-    size = 1 << a.n
-    jump = successor_table(a, limit) + [y + size for y in successor_table(b, limit)]
-    label = [x & 1 for x in range(size)] * 2
-    count = 2
+    n = a.n
+    size = 1 << n
+    walks = [walk_columns(m, n + 1, limit) for m in (a, b)]
+    windows = [transpose(outputs, n).tolist() for outputs, _ in walks]
+    distinct = set(windows[0]).union(windows[1])
+    # two windows that differ only in bit n share their n-bit window
+    if distinct.isdisjoint(map(size.__xor__, distinct)):
+        return windows[0], windows[1]
+    count = len(distinct)
+    ids = dict(zip(distinct, range(count)))
+    label = [ids[w] for ws in windows for w in ws]
+    del ids, windows, distinct
+    jump = transpose(walks[0][1], n).tolist() + [y + size for y in transpose(walks[1][1], n)]
+    del walks
     while True:
-        ids: dict[int, int] = {}
+        ids = {}
         label = [ids.setdefault(c * count + label[j], len(ids)) for c, j in zip(label, jump)]
         if len(ids) == count:
             return label[:size], label[size:]

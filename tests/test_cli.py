@@ -1,5 +1,7 @@
+import io
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,30 @@ class TestSimulate:
     def test_zero_steps(self, regs, capsys):
         assert main(["simulate", regs["a"], "--init", "0001", "--steps", "0"]) == 0
         assert capsys.readouterr().out == "\n"
+
+    @pytest.mark.parametrize("extra, steps", [((), 100_000), (("--states",), 20_000)])
+    def test_output_streams_in_bounded_memory(self, regs, monkeypatch, extra, steps):
+        # a list of the bits or states would take over 800 KB; argument
+        # parsing and one chunk of bits take under 300 KB
+        class Sink(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            code = main(["simulate", regs["a"], "--init", "0001", "--steps", str(steps), *extra])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 512 * 1024
+
+    def test_negative_steps(self, regs, capsys):
+        assert main(["simulate", regs["a"], "--init", "0001", "--steps", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "steps must be non-negative" in captured.err
 
     def test_bad_init_length(self, regs, capsys):
         assert main(["simulate", regs["a"], "--init", "001", "--steps", "3"]) == 2

@@ -21,6 +21,8 @@ from nlfsr.register import (
     require_well_formed,
     state_to_int,
     successor_table,
+    transpose,
+    walk_columns,
 )
 from nlfsr.transform import GaloisProfile
 from nlfsr.verify import period_census
@@ -407,6 +409,31 @@ class TestFileFormat:
         assert m.n == 2
 
 
+def stepped(m: Nlfsr, x: int, steps: int) -> int:
+    """Packed state x after ``steps`` steps of step_packed."""
+    for _ in range(steps):
+        x = m.step_packed(x)
+    return x
+
+
+def edge_register(n: int) -> Nlfsr:
+    """Every bit gets a constant term, its shift tap, a product and a term
+    reading the top bit; the top two bits share one feedback, so the
+    update is never a bijection."""
+    rng = random.Random(n)
+    fbs = [
+        Anf([
+            Monomial(),
+            Monomial(((i + 1) % n,)),
+            Monomial(rng.sample(range(n), 2)),
+            Monomial((n - 1, rng.randrange(n))),
+        ])
+        for i in range(n)
+    ]
+    fbs[n - 1] = fbs[n - 2]
+    return Nlfsr(fbs)
+
+
 class TestSuccessorTable:
     """The bit-sliced table against step_packed, the per-state reference."""
 
@@ -417,15 +444,8 @@ class TestSuccessorTable:
     @pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
     def test_byte_group_edges(self, n):
         # the transpose packs successor bits 0-7, 8-15, 16-23 into separate
-        # lane bytes; these sizes start or end a group, and every bit gets
-        # a constant term, a product and a term reading the top bit
-        rng = random.Random(n)
-        fbs = [
-            Anf([Monomial(), Monomial(rng.sample(range(n), 2)), Monomial((n - 1, rng.randrange(n)))])
-            for _ in range(n)
-        ]
-        fbs[0] = Anf.zero()
-        m = Nlfsr(fbs)
+        # lane bytes; these sizes start or end a group
+        m = edge_register(n)
         assert successor_table(m) == [m.step_packed(x) for x in range(1 << m.n)]
 
     def test_above_32_bits_refused_before_any_work(self, monkeypatch):
@@ -435,6 +455,58 @@ class TestSuccessorTable:
         monkeypatch.setattr(register, "_columns", no_columns)
         with pytest.raises(ExhaustiveLimitError, match="at most 32"):
             successor_table(Nlfsr.fibonacci(33, Anf.var(0)), limit=40)
+
+
+class TestWalk:
+    """The (n+1)-bit output windows and the (n+1)-step jump of one walk
+    against output_sequence and step_packed, the per-state references."""
+
+    def check_walk(self, m: Nlfsr) -> None:
+        # every state follows the step_packed table n + 1 times, and a
+        # sample of states is stepped one by one through the references
+        n = m.n
+        outputs, state = walk_columns(m, n + 1)
+        windows, jump = transpose(outputs, n).tolist(), transpose(state, n).tolist()
+        succ = [m.step_packed(x) for x in range(1 << n)]
+        ref = [0] * (1 << n)
+        at = list(range(1 << n))
+        for t in range(n + 1):
+            ref = [w | (y & 1) << t for w, y in zip(ref, at)]
+            at = [succ[y] for y in at]
+        assert windows == ref
+        assert jump == at
+        for x in random.Random(n).sample(range(1 << n), min(64, 1 << n)):
+            bits = m.output_sequence(int_to_state(x, n), n + 1)
+            assert windows[x] == sum(b << t for t, b in enumerate(bits))
+            assert jump[x] == stepped(m, x, n + 1)
+
+    @given(registers())
+    def test_windows_and_jump_equal_stepping_every_state(self, m):
+        self.check_walk(m)
+
+    @pytest.mark.parametrize("n", [7, 8, 15, 16])
+    def test_lane_group_edges(self, n):
+        # n + 1 window bits and n state bits start or end a lane byte here
+        m = edge_register(n)
+        self.check_walk(m)
+        windows = transpose(walk_columns(m, n + 1)[0], n).tolist()
+        assert all(0 < sum(w >> t & 1 for w in windows) < 1 << n for t in range(n + 1))
+
+    def test_windows_wider_than_32_bits_use_8_byte_lanes(self):
+        m = Nlfsr.fibonacci(5, Anf.parse("x0 + x2 + x1*x3"))
+        windows = transpose(walk_columns(m, 64)[0], 5).tolist()
+        assert any(w >> 56 for w in windows)
+        for x in range(32):
+            bits = m.output_sequence(int_to_state(x, 5), 64)
+            assert windows[x] == sum(b << t for t, b in enumerate(bits))
+        with pytest.raises(ValueError, match="65 columns"):
+            transpose([0] * 65, 5)
+
+    def test_successor_table_is_the_one_step_walk(self):
+        m = edge_register(9)
+        outputs, state = walk_columns(m, 1)
+        assert transpose(outputs, 9).tolist() == [x & 1 for x in range(1 << 9)]
+        assert transpose(state, 9).tolist() == successor_table(m)
 
 
 # Characters a mutation may insert: the grammar's own, plus some it refuses.

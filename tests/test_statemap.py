@@ -1,12 +1,21 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from nlfsr import samples
 from nlfsr.anf import Anf
 from nlfsr.generate import random_lowering
-from nlfsr.register import Nlfsr, StructureError, format_state, int_to_state, parse_state
+from nlfsr.register import (
+    Nlfsr,
+    StructureError,
+    format_state,
+    int_to_state,
+    parse_state,
+    state_to_int,
+)
 from nlfsr.statemap import (
+    StateCorrection,
     build_correction,
     sequence_divergence,
     single_shift_map,
@@ -162,6 +171,26 @@ class TestMapping:
                 r = corr.apply(s)
                 assert pf[x] == pg[sum(b << i for i, b in enumerate(r))]
                 assert corr.invert(r) == s
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_mapping_over_the_whole_state_space(self, n):
+        # every Fibonacci state and its image carry one output class, and
+        # zeroing any one correction polynomial breaks that for some state
+        fib, _, galois, _ = random_lowering(random.Random(n), n)
+        corr = build_correction(galois)
+        ca, cb = output_classes(fib, galois)
+
+        def maps_every_state(c: StateCorrection) -> bool:
+            return all(
+                ca[x] == cb[state_to_int(c.apply(int_to_state(x, n)))] for x in range(1 << n)
+            )
+
+        assert maps_every_state(corr)
+        nonzero = [j for j, p in enumerate(corr.polys) if not p.is_zero]
+        assert nonzero
+        for j in nonzero:
+            polys = corr.polys[:j] + (Anf.zero(),) + corr.polys[j + 1 :]
+            assert not maps_every_state(replace(corr, polys=polys))
 
     @pytest.mark.parametrize("n", [24, 64, 128])
     def test_mapping_at_cryptographic_sizes(self, n):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from nlfsr import register, samples
+from nlfsr import register, samples, verify
 from nlfsr.anf import Anf, Monomial
 from nlfsr.generate import random_lowering
 from nlfsr.register import (
@@ -68,6 +68,32 @@ class TestOutputClasses:
         two = Nlfsr.parse("n = 2\nf1 = x0\nf0 = x1")
         with pytest.raises(ValueError, match="different sizes"):
             output_classes(A, two)
+
+    def test_windows_short_of_exact_fall_back_to_doubling(self, monkeypatch):
+        # bits 1-6 count, x_k' = x_k + x_1*...*x_{k-1}, and bit 0 emits 1
+        # one step after the count reaches 63: the stream fixes x0 and the
+        # count, 128 classes, but a 7- or 8-bit window sees only x0 and
+        # where the 1 falls when it falls inside the window
+        n = 7
+        counter = [Anf([Monomial((k,)), Monomial(range(1, k))]) for k in range(1, n)]
+        m = Nlfsr([Anf([Monomial(range(1, n))]), *counter])
+        streams = [tuple(m.output_sequence(int_to_state(x, n), 2 << n)) for x in range(1 << n)]
+        assert len({s[:n] for s in streams}) == 14
+        assert len({s[: n + 1] for s in streams}) == 16
+        assert len(set(streams)) == 128
+        transposed = []
+
+        def counting(columns, n):
+            transposed.append(len(columns))
+            return register.transpose(columns, n)
+
+        monkeypatch.setattr(verify, "transpose", counting)
+        ca, cb = output_classes(m, m)
+        assert transposed == [n + 1, n + 1, n, n]  # the windows, then the jump
+        for x in range(1 << n):
+            for y in range(1 << n):
+                assert (ca[x] == cb[y]) == (streams[x] == streams[y])
+                assert (ca[x] == ca[y]) == (streams[x] == streams[y])
 
 
 class TestBruteForceMatch:
