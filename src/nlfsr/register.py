@@ -190,9 +190,35 @@ class Nlfsr:
             out |= acc << i
         return out
 
+    def output_sequence(self, state: Sequence[int], steps: int) -> list[int]:
+        """The first ``steps`` output bits (bit 0), starting with the given state."""
+        check_state(state, self.n)
+        if steps < 0:
+            raise ValueError("steps must be non-negative")
+        x = state_to_int(state)
+        out = []
+        for _ in range(steps):
+            out.append(x & 1)
+            x = self.step_packed(x)
+        return out
+
+    def state_sequence(self, state: Sequence[int], steps: int) -> list[State]:
+        """The first ``steps`` states, starting with the given state itself."""
+        check_state(state, self.n)
+        if steps < 0:
+            raise ValueError("steps must be non-negative")
+        x = state_to_int(state)
+        seq = []
+        for _ in range(steps):
+            seq.append(int_to_state(x, self.n))
+            x = self.step_packed(x)
+        return seq
+
     def run(self, state: Sequence[int], steps: int) -> Iterator[int]:
         """The first ``steps`` packed states, starting with the given state
-        itself, made one at a time as they are read."""
+        itself, made one at a time as they are read.  The two sequence
+        methods above keep their own loops, which step faster than a
+        generator does."""
         check_state(state, self.n)
         if steps < 0:
             raise ValueError("steps must be non-negative")
@@ -203,14 +229,6 @@ class Nlfsr:
                 x = self.step_packed(x)
 
         return states(state_to_int(state))
-
-    def output_sequence(self, state: Sequence[int], steps: int) -> list[int]:
-        """The first ``steps`` output bits (bit 0), starting with the given state."""
-        return [x & 1 for x in self.run(state, steps)]
-
-    def state_sequence(self, state: Sequence[int], steps: int) -> list[State]:
-        """The first ``steps`` states, starting with the given state itself."""
-        return [int_to_state(x, self.n) for x in self.run(state, steps)]
 
     # -- structure --------------------------------------------------------
 
@@ -398,12 +416,12 @@ def transpose(columns: Sequence[int], n: int) -> memoryview:
 
     The columns are spread eight at a time into one byte of a native-order
     lane per state, 4 bytes wide for up to 32 columns and 8 bytes for up
-    to 64.  The lanes come back as a memoryview of unsigned ints, so that
-    the columns can be freed before ``tolist()`` reads them out.
+    to 64.  The library passes at most n + 1 <= 33 columns, so 8-byte
+    lanes serve only the 33-bit output windows of a 32-bit register.  The
+    lanes come back as a memoryview of unsigned ints, so that the columns
+    can be freed before ``tolist()`` reads them out.
     """
     width = 4 if len(columns) <= 32 else 8
-    if len(columns) > 64:
-        raise ValueError(f"{len(columns)} columns do not fit a 64-bit lane")
     size = 1 << n
     low_bits = int.from_bytes(b"\x01" * size, "little")  # 0x0101...01, one 1 per state
     lanes = bytearray(width * size)

@@ -493,14 +493,13 @@ class TestWalk:
         assert all(0 < sum(w >> t & 1 for w in windows) < 1 << n for t in range(n + 1))
 
     def test_windows_wider_than_32_bits_use_8_byte_lanes(self):
+        # 33 columns, the window width of a 32-bit register, on a 5-bit one
         m = Nlfsr.fibonacci(5, Anf.parse("x0 + x2 + x1*x3"))
-        windows = transpose(walk_columns(m, 64)[0], 5).tolist()
-        assert any(w >> 56 for w in windows)
+        windows = transpose(walk_columns(m, 33)[0], 5).tolist()
+        assert any(w >> 32 for w in windows)
         for x in range(32):
-            bits = m.output_sequence(int_to_state(x, 5), 64)
+            bits = m.output_sequence(int_to_state(x, 5), 33)
             assert windows[x] == sum(b << t for t, b in enumerate(bits))
-        with pytest.raises(ValueError, match="65 columns"):
-            transpose([0] * 65, 5)
 
     def test_successor_table_is_the_one_step_walk(self):
         m = edge_register(9)
