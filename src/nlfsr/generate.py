@@ -17,51 +17,35 @@ from .register import Nlfsr
 from .transform import GaloisProfile, ShiftMove, ShiftRejected, lower_to_profile, reconstruct_fibonacci
 
 
-def random_monomial(rng: random.Random, lowest: int, highest: int, max_degree: int = 3) -> Monomial:
-    """A random product-term over x_lowest..x_highest."""
-    width = highest - lowest + 1
-    degree = rng.randint(1, min(max_degree, width))
+def random_monomial(rng: random.Random, lowest: int, highest: int) -> Monomial:
+    """A random product-term of degree 1 to 3 over x_lowest..x_highest."""
+    degree = rng.randint(1, min(3, highest - lowest + 1))
     return Monomial(rng.sample(range(lowest, highest + 1), degree))
 
 
-def random_residual(
-    rng: random.Random,
-    tau: int,
-    *,
-    forbid_x0: bool = False,
-    allow_constant: bool = True,
-    max_terms: int = 3,
-) -> Anf:
-    """A random residual reading only x_0..x_tau (possibly zero)."""
+def random_residual(rng: random.Random, tau: int, *, forbid_x0: bool = False) -> Anf:
+    """A random residual of up to 3 terms reading only x_0..x_tau (possibly zero)."""
     lowest = 1 if forbid_x0 else 0
     terms: list[Monomial] = []
-    for _ in range(rng.randint(0, max_terms)):
-        if allow_constant and rng.random() < 0.1:
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.1:
             terms.append(Monomial())
         elif lowest <= tau:
             terms.append(random_monomial(rng, lowest, tau))
     return Anf(terms)
 
 
-def random_profile(rng: random.Random, n: int, *, allow_constant: bool = True) -> GaloisProfile:
+def random_profile(rng: random.Random, n: int) -> GaloisProfile:
     """A random legal profile with a genuinely Galois terminal bit."""
     while True:
         tau = rng.randrange(0, n - 1)
-        residuals = []
-        for k in range(tau, n):
-            residuals.append(
-                random_residual(
-                    rng, tau, forbid_x0=(k == n - 1), allow_constant=allow_constant
-                )
-            )
+        residuals = [random_residual(rng, tau, forbid_x0=(k == n - 1)) for k in range(tau, n)]
         if residuals[0].is_zero:
             continue  # the terminal bit itself must keep a residual
         return GaloisProfile(n, tau, tuple(residuals))
 
 
-def random_lowering(
-    rng: random.Random, n: int, *, allow_constant: bool = True
-) -> tuple[Nlfsr, GaloisProfile, Nlfsr, list[ShiftMove]]:
+def random_lowering(rng: random.Random, n: int) -> tuple[Nlfsr, GaloisProfile, Nlfsr, list[ShiftMove]]:
     """A reachable (fibonacci, profile, galois, moves) quadruple.
 
     The Fibonacci source is reconstructed from the profile's register, so
@@ -69,7 +53,7 @@ def random_lowering(
     resampled.
     """
     while True:
-        profile = random_profile(rng, n, allow_constant=allow_constant)
+        profile = random_profile(rng, n)
         fib = reconstruct_fibonacci(profile.register())
         try:
             galois, moves = lower_to_profile(fib, profile)

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .anf import Anf, Monomial, ParseError
 
-#: Largest register size for which whole-state-space scans run by default.
+#: Largest register size for which whole-state-space scans run.
 EXHAUSTIVE_LIMIT = 20
 
 State = tuple[int, ...]
@@ -40,15 +40,14 @@ class StructureError(ValueError):
 
 
 class ExhaustiveLimitError(ValueError):
-    """A whole-state-space operation was asked for a register above the limit."""
+    """A whole-state-space operation was asked for a register above EXHAUSTIVE_LIMIT."""
 
 
-def check_limit(n: int, limit: int | None) -> None:
-    """Refuse an n-bit whole-state-space scan above ``limit`` (default EXHAUSTIVE_LIMIT)."""
-    lim = EXHAUSTIVE_LIMIT if limit is None else limit
-    if n > lim:
+def check_limit(n: int) -> None:
+    """Refuse an n-bit whole-state-space scan above EXHAUSTIVE_LIMIT."""
+    if n > EXHAUSTIVE_LIMIT:
         raise ExhaustiveLimitError(
-            f"register has {n} bits, exhaustive scans are capped at {lim}"
+            f"register has {n} bits, exhaustive scans are capped at {EXHAUSTIVE_LIMIT}"
         )
 
 
@@ -289,14 +288,14 @@ class Nlfsr:
 
     # -- whole-orbit analysis ----------------------------------------------
 
-    def period_from(self, state: Sequence[int], limit: int | None = None) -> int:
+    def period_from(self, state: Sequence[int]) -> int:
         """Length of the cycle the orbit of ``state`` falls into.
 
         The walk from a state may have a non-repeating tail before it
         enters a cycle; only the cycle length is reported.
         """
         check_state(state, self.n)
-        check_limit(self.n, limit)
+        check_limit(self.n)
         seen: dict[int, int] = {}
         x = state_to_int(state)
         t = 0
@@ -383,7 +382,7 @@ def _columns(n: int) -> list[int]:
     return cols
 
 
-def walk_columns(m: Nlfsr, steps: int, limit: int | None = None) -> tuple[list[int], list[int]]:
+def walk_columns(m: Nlfsr, steps: int) -> tuple[list[int], list[int]]:
     """Step every state of the register ``steps`` times at once, bit-sliced.
 
     Each variable x_k over all 2^n states is one 2^n-bit column (bit x
@@ -392,16 +391,9 @@ def walk_columns(m: Nlfsr, steps: int, limit: int | None = None) -> tuple[list[i
     ``(outputs, state)``: outputs[t] is column 0 before step t, so bit x
     of it is the output at time t from state x, and state[i] is column i
     of the states reached after the last step.  ``transpose`` turns
-    either list into one lane per state.  Successor tables hold states
-    in 4-byte lanes and the (n+1)-bit windows of the equivalence oracle
-    fit 8-byte ones, so registers above 32 bits are refused with
-    ExhaustiveLimitError, whatever ``limit`` allows.
+    either list into one lane per state.
     """
-    check_limit(m.n, limit)
-    if m.n > 32:
-        raise ExhaustiveLimitError(
-            f"register has {m.n} bits, successor tables hold states of at most 32"
-        )
+    check_limit(m.n)
     state = _columns(m.n)
     ones = (1 << (1 << m.n)) - 1
     outputs = []
@@ -414,36 +406,34 @@ def walk_columns(m: Nlfsr, steps: int, limit: int | None = None) -> tuple[list[i
 def transpose(columns: Sequence[int], n: int) -> memoryview:
     """Lane x packs bit x of every 2^n-bit column, column i into bit i.
 
-    The columns are spread eight at a time into one byte of a native-order
-    lane per state, 4 bytes wide for up to 32 columns and 8 bytes for up
-    to 64.  The library passes at most n + 1 <= 33 columns, so 8-byte
-    lanes serve only the 33-bit output windows of a 32-bit register.  The
-    lanes come back as a memoryview of unsigned ints, so that the columns
-    can be freed before ``tolist()`` reads them out.
+    The columns are spread eight at a time into one byte of a 4-byte
+    native-order lane per state, which holds the n + 1 <= 21 columns the
+    library passes.  The lanes come back as a memoryview of unsigned
+    ints, so that the columns can be freed before ``tolist()`` reads them
+    out.
     """
-    width = 4 if len(columns) <= 32 else 8
     size = 1 << n
     low_bits = int.from_bytes(b"\x01" * size, "little")  # 0x0101...01, one 1 per state
-    lanes = bytearray(width * size)
+    lanes = bytearray(4 * size)
     for j in range(0, len(columns), 8):
         group = 0  # byte x holds bits j..j+7 of lane x
         for i in range(j, min(j + 8, len(columns))):
             # one ASCII digit per state, state 0 last: bit x lands in the low bit of byte x
             spread = int.from_bytes(format(columns[i], f"0{size}b").encode(), "big")
             group |= (spread & low_bits) << (i - j)
-        byte = j // 8 if sys.byteorder == "little" else width - 1 - j // 8
-        lanes[byte::width] = group.to_bytes(size, "little")
-    return memoryview(lanes).cast("I" if width == 4 else "Q")
+        byte = j // 8 if sys.byteorder == "little" else 3 - j // 8
+        lanes[byte::4] = group.to_bytes(size, "little")
+    return memoryview(lanes).cast("I")
 
 
-def successor_table(m: Nlfsr, limit: int | None = None) -> list[int]:
+def successor_table(m: Nlfsr) -> list[int]:
     """Entry x is the packed successor of packed state x, over all 2^n states.
 
     Every whole-state-space scan but the equivalence oracle starts from
     this table, the one-step case of ``walk_columns``.  It equals
     ``[m.step_packed(x) for x in range(1 << m.n)]``.
     """
-    return transpose(walk_columns(m, 1, limit)[1], m.n).tolist()
+    return transpose(walk_columns(m, 1)[1], m.n).tolist()
 
 
 def require_well_formed(m: Nlfsr) -> None:

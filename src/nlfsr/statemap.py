@@ -156,6 +156,8 @@ def sequence_divergence(
     if apply_shift(original, move) != shifted:
         raise ValueError("shifted register does not match the move")
     check_state(state, original.n)
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     moved_down = move.terms.shifted(-1)
     x = state_to_int(state)
     y = state_to_int(single_shift_map(move.terms, move.from_bit, state))

@@ -67,6 +67,7 @@ class GaloisProfile:
     residuals: tuple[Anf, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "residuals", tuple(self.residuals))
         if not 0 <= self.tau <= self.n - 1:
             raise ValueError(f"terminal bit {self.tau} out of range for n = {self.n}")
         if len(self.residuals) != self.n - self.tau:

@@ -18,7 +18,8 @@ states can be partitioned freely and merged by min/union/sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from types import MappingProxyType
+from typing import Literal, Mapping, Sequence
 
 from .register import (
     Nlfsr,
@@ -32,7 +33,7 @@ from .register import (
 )
 
 
-def output_classes(a: Nlfsr, b: Nlfsr, limit: int | None = None) -> tuple[list[int], list[int]]:
+def output_classes(a: Nlfsr, b: Nlfsr) -> tuple[list[int], list[int]]:
     """Label every state of two registers so that equal labels mean equal outputs.
 
     Entry x of each list labels packed state x; two states, of the same
@@ -58,7 +59,7 @@ def output_classes(a: Nlfsr, b: Nlfsr, limit: int | None = None) -> tuple[list[i
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
     n = a.n
     size = 1 << n
-    walks = [walk_columns(m, n + 1, limit) for m in (a, b)]
+    walks = [walk_columns(m, n + 1) for m in (a, b)]
     windows = [transpose(outputs, n).tolist() for outputs, _ in walks]
     distinct = set(windows[0]).union(windows[1])
     # two windows that differ only in bit n share their n-bit window
@@ -79,12 +80,7 @@ def output_classes(a: Nlfsr, b: Nlfsr, limit: int | None = None) -> tuple[list[i
         jump = [jump[j] for j in jump]
 
 
-def brute_force_match(
-    a: Nlfsr,
-    b: Nlfsr,
-    state: Sequence[int],
-    limit: int | None = None,
-) -> State | None:
+def brute_force_match(a: Nlfsr, b: Nlfsr, state: Sequence[int]) -> State | None:
     """The smallest state of b whose output stream equals a's from ``state``.
 
     Returns None when no state of b reproduces that stream.
@@ -92,7 +88,7 @@ def brute_force_match(
     if a.n != b.n:
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
     check_state(state, a.n)
-    ca, cb = output_classes(a, b, limit)
+    ca, cb = output_classes(a, b)
     target = ca[state_to_int(state)]
     return int_to_state(cb.index(target), b.n) if target in cb else None
 
@@ -116,18 +112,14 @@ class EquivalenceReport:
     witness_side: Literal["first", "second"] | None = None
 
 
-def output_set_equivalent(
-    a: Nlfsr,
-    b: Nlfsr,
-    limit: int | None = None,
-) -> EquivalenceReport:
+def output_set_equivalent(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
     """Decide whether two registers generate the same set of output sequences.
 
     The registers are equivalent exactly when their states carry the same
     set of output classes; a class present on one side only settles
     non-equivalence with a state of that class as witness.
     """
-    ca, cb = output_classes(a, b, limit)
+    ca, cb = output_classes(a, b)
     for side, labels, other in (("first", ca, cb), ("second", cb, ca)):
         missing = set(labels).difference(other)
         if missing:
@@ -142,12 +134,16 @@ class PeriodCensus:
 
     cycles maps each occurring cycle length to the number of states lying
     on cycles of that length; tail_states counts states not on any cycle
-    (possible only when the update is not a bijection).
+    (possible only when the update is not a bijection).  cycles is a
+    read-only copy of the mapping given.
     """
 
     n: int
-    cycles: dict[int, int]
+    cycles: Mapping[int, int]
     tail_states: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "cycles", MappingProxyType(dict(self.cycles)))
 
     @property
     def period(self) -> int:
@@ -164,14 +160,14 @@ class PeriodCensus:
         return ", ".join(parts)
 
 
-def period_census(m: Nlfsr, limit: int | None = None) -> PeriodCensus:
+def period_census(m: Nlfsr) -> PeriodCensus:
     """Partition all states into cycles and tails by walking the successor graph.
 
     Each walk runs from an unseen state until it meets a seen one.  If
     that state is on the current walk, the walk closed a new cycle there
     and the states before it are tail; otherwise the whole walk is tail.
     """
-    succ = successor_table(m, limit)
+    succ = successor_table(m)
     status = bytearray(len(succ))  # 0 unseen, 1 on the current walk, 2 resolved
     cycles: dict[int, int] = {}
     tail_states = 0
@@ -196,7 +192,7 @@ def period_census(m: Nlfsr, limit: int | None = None) -> PeriodCensus:
     return PeriodCensus(m.n, cycles, tail_states)
 
 
-def step_is_bijection(m: Nlfsr, limit: int | None = None) -> bool:
+def step_is_bijection(m: Nlfsr) -> bool:
     """Whether the update permutes the state space (no two states collide)."""
-    table = successor_table(m, limit)
+    table = successor_table(m)
     return len(set(table)) == len(table)

@@ -8,10 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from nlfsr import cli, register, samples
+from nlfsr import cli, samples
 from nlfsr.anf import Anf, Monomial, ParseError
 from nlfsr.register import (
-    ExhaustiveLimitError,
     Nlfsr,
     StructureError,
     Violation,
@@ -335,12 +334,6 @@ class TestPeriod:
         two = Nlfsr.parse("n = 2\nf1 = x0\nf0 = x1")
         assert period_census(two).period == 2
 
-    def test_limit_guard(self):
-        with pytest.raises(ExhaustiveLimitError):
-            period_census(A, limit=3)
-        with pytest.raises(ExhaustiveLimitError):
-            A.period_from((0, 0, 0, 0), limit=3)
-
 
 class TestFileFormat:
     def test_round_trip(self):
@@ -448,14 +441,6 @@ class TestSuccessorTable:
         m = edge_register(n)
         assert successor_table(m) == [m.step_packed(x) for x in range(1 << m.n)]
 
-    def test_above_32_bits_refused_before_any_work(self, monkeypatch):
-        def no_columns(n):
-            raise AssertionError("built columns for a register a lane cannot hold")
-
-        monkeypatch.setattr(register, "_columns", no_columns)
-        with pytest.raises(ExhaustiveLimitError, match="at most 32"):
-            successor_table(Nlfsr.fibonacci(33, Anf.var(0)), limit=40)
-
 
 class TestWalk:
     """The (n+1)-bit output windows and the (n+1)-step jump of one walk
@@ -491,15 +476,6 @@ class TestWalk:
         self.check_walk(m)
         windows = transpose(walk_columns(m, n + 1)[0], n).tolist()
         assert all(0 < sum(w >> t & 1 for w in windows) < 1 << n for t in range(n + 1))
-
-    def test_windows_wider_than_32_bits_use_8_byte_lanes(self):
-        # 33 columns, the window width of a 32-bit register, on a 5-bit one
-        m = Nlfsr.fibonacci(5, Anf.parse("x0 + x2 + x1*x3"))
-        windows = transpose(walk_columns(m, 33)[0], 5).tolist()
-        assert any(w >> 32 for w in windows)
-        for x in range(32):
-            bits = m.output_sequence(int_to_state(x, 5), 33)
-            assert windows[x] == sum(b << t for t, b in enumerate(bits))
 
     def test_successor_table_is_the_one_step_walk(self):
         m = edge_register(9)

@@ -306,6 +306,11 @@ class TestSequenceDivergence:
         with pytest.raises(ValueError):
             sequence_divergence(A, F, move, parse_state("0001"), 5)
 
+    def test_negative_steps_rejected(self):
+        move = ShiftMove(2, 1, Anf.parse("x1"))
+        with pytest.raises(ValueError, match="steps must be non-negative"):
+            sequence_divergence(A, B, move, parse_state("0001"), -3)
+
     def test_all_states_all_stages_of_random_lowerings(self):
         rng = random.Random(41)
         for _ in range(8):

@@ -102,6 +102,15 @@ class TestGaloisProfile:
         with pytest.raises(ValueError):
             GaloisProfile(4, 1, (Anf.parse("x1"), Anf.zero(), Anf.parse("x0")))
 
+    def test_residuals_cannot_be_edited_past_the_checks(self):
+        residuals = [Anf.parse("x1"), Anf.zero(), Anf.zero()]
+        p = GaloisProfile(4, 1, residuals)
+        assert p.residuals == tuple(residuals)
+        with pytest.raises(TypeError):
+            p.residuals[0] = Anf.parse("x3")
+        residuals[0] = Anf.parse("x3")
+        assert p.residual(1) == Anf.parse("x1")
+
     def test_register_and_extraction_round_trip(self):
         for m in (A, B, F):
             p = GaloisProfile.of_register(m)

@@ -18,6 +18,7 @@ from nlfsr.register import (
 )
 from nlfsr.statemap import build_correction
 from nlfsr.verify import (
+    PeriodCensus,
     brute_force_match,
     output_classes,
     output_set_equivalent,
@@ -191,10 +192,6 @@ class TestOutputSetEquivalence:
                 == output_set_equivalent(y, x).verdict
             )
 
-    def test_limit_guard(self):
-        with pytest.raises(ExhaustiveLimitError):
-            output_set_equivalent(A, B, limit=2)
-
 
 def random_feedback(rng: random.Random, n: int) -> Anf:
     """A feedback of up to three terms of degree up to two; no register structure."""
@@ -272,21 +269,28 @@ class TestPeriodCensus:
         assert str(period_census(A)) == "15: 15, 1: 1"
         assert "tails: 2" in str(period_census(Nlfsr.parse("n = 2\nf1 = x0*x1\nf0 = x1")))
 
-    def test_limit_guard(self):
-        with pytest.raises(ExhaustiveLimitError):
-            period_census(A, limit=3)
+    def test_cycles_are_read_only(self):
+        cycles = {15: 15, 1: 1}
+        census = PeriodCensus(4, cycles, 0)
+        with pytest.raises(TypeError):
+            period_census(A).cycles[99] = 1
+        with pytest.raises(TypeError):
+            census.cycles[99] = 1
+        # nor does the caller's dict reach into the census
+        cycles[99] = 1
+        assert census.total == 16
 
 
-# Every whole-state-space entry point, called on a register above the size
-# limit, given or default.  Each must refuse before it steps a single state.
+# Every whole-state-space entry point, called on a register above
+# EXHAUSTIVE_LIMIT.  Each must refuse before it steps a single state.
 LIMIT_GUARDED = {
-    "successor_table": lambda m, lim: successor_table(m, lim),
-    "period_from": lambda m, lim: m.period_from((0,) * m.n, lim),
-    "period_census": lambda m, lim: period_census(m, lim),
-    "step_is_bijection": lambda m, lim: step_is_bijection(m, lim),
-    "output_classes": lambda m, lim: output_classes(m, m, lim),
-    "output_set_equivalent": lambda m, lim: output_set_equivalent(m, m, lim),
-    "brute_force_match": lambda m, lim: brute_force_match(m, m, (0,) * m.n, lim),
+    "successor_table": successor_table,
+    "period_from": lambda m: m.period_from((0,) * m.n),
+    "period_census": period_census,
+    "step_is_bijection": step_is_bijection,
+    "output_classes": lambda m: output_classes(m, m),
+    "output_set_equivalent": lambda m: output_set_equivalent(m, m),
+    "brute_force_match": lambda m: brute_force_match(m, m, (0,) * m.n),
 }
 
 
@@ -302,9 +306,7 @@ def test_limit_refused_before_any_step(name, monkeypatch):
 
     monkeypatch.setattr(Nlfsr, "step_packed", no_stepping)
     monkeypatch.setattr(register, "_columns", no_columns)
-    call = LIMIT_GUARDED[name]
-    with pytest.raises(ExhaustiveLimitError, match="capped at 3"):
-        call(A, 3)
-    above_default = Nlfsr.fibonacci(EXHAUSTIVE_LIMIT + 1, Anf.var(0))
-    with pytest.raises(ExhaustiveLimitError, match=f"capped at {EXHAUSTIVE_LIMIT}"):
-        call(above_default, None)
+    # just above the cap, and above the 32 bits a 4-byte lane could hold
+    for n in (EXHAUSTIVE_LIMIT + 1, 33):
+        with pytest.raises(ExhaustiveLimitError, match=f"capped at {EXHAUSTIVE_LIMIT}"):
+            LIMIT_GUARDED[name](Nlfsr.fibonacci(n, Anf.var(0)))
