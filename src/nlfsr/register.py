@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .anf import Anf, Monomial, ParseError
+from .anf import Anf, ParseError
 
 #: Largest register size for which whole-state-space scans run.
 EXHAUSTIVE_LIMIT = 20
@@ -426,14 +426,15 @@ def transpose(columns: Sequence[int], n: int) -> memoryview:
     return memoryview(lanes).cast("I")
 
 
-def successor_table(m: Nlfsr) -> list[int]:
+def successor_table(m: Nlfsr) -> memoryview:
     """Entry x is the packed successor of packed state x, over all 2^n states.
 
     Every whole-state-space scan but the equivalence oracle starts from
-    this table, the one-step case of ``walk_columns``.  It equals
+    this table, the one-step case of ``walk_columns``.  It is a read-only
+    view of one 4-byte lane per state, and its ``tolist()`` equals
     ``[m.step_packed(x) for x in range(1 << m.n)]``.
     """
-    return transpose(walk_columns(m, 1)[1], m.n).tolist()
+    return transpose(walk_columns(m, 1)[1], m.n).toreadonly()
 
 
 def require_well_formed(m: Nlfsr) -> None:

@@ -163,32 +163,35 @@ class PeriodCensus:
 def period_census(m: Nlfsr) -> PeriodCensus:
     """Partition all states into cycles and tails by walking the successor graph.
 
-    Each walk runs from an unseen state until it meets a seen one.  If
-    that state is on the current walk, the walk closed a new cycle there
-    and the states before it are tail; otherwise the whole walk is tail.
+    Each walk runs from the next unseen state, marking states, until it
+    meets a seen one, x.  A re-walk from the start, at most as long as
+    the walk, finds x if the walk met itself there: the states before x
+    are tail and the rest closed a new cycle (all of them when x is the
+    start, as in every walk of a bijection).  If the re-walk never meets
+    x, the walk ran into an earlier one and is all tail.
     """
     succ = successor_table(m)
-    status = bytearray(len(succ))  # 0 unseen, 1 on the current walk, 2 resolved
+    seen = bytearray(len(succ))
     cycles: dict[int, int] = {}
     tail_states = 0
-    for start in range(len(succ)):
-        if status[start]:
-            continue
-        path = []
+    start = seen.find(0)
+    while start >= 0:
         x = start
-        while not status[x]:
-            status[x] = 1
-            path.append(x)
+        steps = 0
+        while not seen[x]:
+            seen[x] = 1
             x = succ[x]
-        if status[x] == 1:  # closed a new cycle at x
-            cut = path.index(x)
-            length = len(path) - cut
+            steps += 1
+        y = start
+        cut = 0
+        while cut < steps and y != x:
+            y = succ[y]
+            cut += 1
+        if cut < steps:
+            length = steps - cut
             cycles[length] = cycles.get(length, 0) + length
-        else:
-            cut = len(path)
         tail_states += cut
-        for v in path:
-            status[v] = 2
+        start = seen.find(0, start)
     return PeriodCensus(m.n, cycles, tail_states)
 
 

@@ -432,14 +432,20 @@ class TestSuccessorTable:
 
     @given(registers())
     def test_equals_stepping_every_state(self, m):
-        assert successor_table(m) == [m.step_packed(x) for x in range(1 << m.n)]
+        assert successor_table(m).tolist() == [m.step_packed(x) for x in range(1 << m.n)]
 
     @pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
     def test_byte_group_edges(self, n):
         # the transpose packs successor bits 0-7, 8-15, 16-23 into separate
         # lane bytes; these sizes start or end a group
         m = edge_register(n)
-        assert successor_table(m) == [m.step_packed(x) for x in range(1 << m.n)]
+        assert successor_table(m).tolist() == [m.step_packed(x) for x in range(1 << m.n)]
+
+    def test_read_only(self):
+        table = successor_table(A)
+        with pytest.raises(TypeError):
+            table[0] = 1
+        assert table[0] == A.step_packed(0)
 
 
 class TestWalk:
@@ -481,7 +487,7 @@ class TestWalk:
         m = edge_register(9)
         outputs, state = walk_columns(m, 1)
         assert transpose(outputs, 9).tolist() == [x & 1 for x in range(1 << 9)]
-        assert transpose(state, 9).tolist() == successor_table(m)
+        assert transpose(state, 9).tolist() == successor_table(m).tolist()
 
 
 # Characters a mutation may insert: the grammar's own, plus some it refuses.

@@ -36,16 +36,23 @@ def polys(n: int):
 
 
 @st.composite
+def registers(draw, max_n: int = 10) -> Nlfsr:
+    """Registers with arbitrary feedbacks: non-bijective updates and no
+    register structure are allowed."""
+    n = draw(st.integers(2, max_n))
+    return Nlfsr(draw(st.lists(polys(n), min_size=n, max_size=n)))
+
+
+@st.composite
 def register_pairs(draw) -> tuple[Nlfsr, Nlfsr]:
     """Two registers of one size with arbitrary feedbacks (non-bijective
     updates allowed); the second redraws any subset of the first's
     feedbacks, from none (the same register) to all (an unrelated one)."""
-    n = draw(st.integers(2, 6))
-    feedbacks = draw(st.lists(polys(n), min_size=n, max_size=n))
-    redrawn = list(feedbacks)
-    for i in draw(st.sets(st.integers(0, n - 1))):
-        redrawn[i] = draw(polys(n))
-    return Nlfsr(feedbacks), Nlfsr(redrawn)
+    a = draw(registers(max_n=6))
+    redrawn = list(a.feedbacks)
+    for i in draw(st.sets(st.integers(0, a.n - 1))):
+        redrawn[i] = draw(polys(a.n))
+    return a, Nlfsr(redrawn)
 
 
 class TestOutputClasses:
@@ -200,7 +207,52 @@ def random_feedback(rng: random.Random, n: int) -> Anf:
     )
 
 
+def census_reference(m: Nlfsr) -> tuple[dict[int, int], int]:
+    """Cycles and tail count state by state from step_packed.  A state is
+    on a cycle exactly when it survives repeated images of the whole
+    state space, and its cycle length is how far it steps to come back."""
+    succ = [m.step_packed(x) for x in range(1 << m.n)]
+    on_cycle = set(range(len(succ)))
+    image = {succ[x] for x in on_cycle}
+    while image != on_cycle:
+        on_cycle, image = image, {succ[x] for x in image}
+    cycles: dict[int, int] = {}
+    for x in on_cycle:
+        y, length = succ[x], 1
+        while y != x:
+            y, length = succ[y], length + 1
+        cycles[length] = cycles.get(length, 0) + 1
+    return cycles, len(succ) - len(on_cycle)
+
+
 class TestPeriodCensus:
+    @given(registers())
+    def test_equals_the_per_state_reference(self, m):
+        census = period_census(m)
+        assert (census.cycles, census.tail_states) == census_reference(m)
+
+    # One register for each way a walk can end.  Walks start from the
+    # smallest unseen state, so the successor lists fix every walk.
+    def test_walk_ends_on_its_own_start(self):
+        # succ = [0, 4, 1, 5, 2, 6, 3, 7]: 0, then 1 -> 4 -> 2 -> 1, then 3 -> 5 -> 6 -> 3
+        m = Nlfsr.parse("n = 3\nf2 = x0\nf1 = x2\nf0 = x1")
+        census = period_census(m)
+        assert (census.cycles, census.tail_states) == ({1: 2, 3: 6}, 0)
+
+    def test_walk_meets_itself_part_way(self):
+        # succ = [1, 2, 1, 3]: the walk 0 -> 1 -> 2 -> 1 is a tail of one
+        # state into a 2-cycle; then 3 -> 3
+        m = Nlfsr.parse("n = 2\nf1 = x0\nf0 = 1 + x0 + x0*x1")
+        census = period_census(m)
+        assert (census.cycles, census.tail_states) == ({2: 2, 1: 1}, 1)
+
+    def test_walk_runs_into_an_earlier_walk(self):
+        # succ = 2x mod 8: 0 -> 0, then 1 -> 2 -> 4 -> 0, 3 -> 6 -> 4,
+        # 5 -> 2 and 7 -> 6 each run into an earlier walk
+        m = Nlfsr.parse("n = 3\nf2 = x1\nf1 = x0\nf0 = 0")
+        census = period_census(m)
+        assert (census.cycles, census.tail_states) == ({1: 1}, 7)
+
     def test_trio_census(self):
         for m in (A, B, F):
             census = period_census(m)
