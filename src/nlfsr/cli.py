@@ -39,7 +39,7 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
     """Read a register or profile file; errors name the file."""
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValueError(f"cannot read {path}: {e}") from None
     try:
         return parse(text)

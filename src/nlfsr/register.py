@@ -286,25 +286,6 @@ class Nlfsr:
                         uniformity.append(Violation("reads-above-terminal", i, k))
         return window + uniformity
 
-    # -- whole-orbit analysis ----------------------------------------------
-
-    def period_from(self, state: Sequence[int]) -> int:
-        """Length of the cycle the orbit of ``state`` falls into.
-
-        The walk from a state may have a non-repeating tail before it
-        enters a cycle; only the cycle length is reported.
-        """
-        check_state(state, self.n)
-        check_limit(self.n)
-        seen: dict[int, int] = {}
-        x = state_to_int(state)
-        t = 0
-        while x not in seen:
-            seen[x] = t
-            x = self.step_packed(x)
-            t += 1
-        return t - seen[x]
-
     # -- text form ----------------------------------------------------------
 
     def __str__(self) -> str:

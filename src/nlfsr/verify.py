@@ -9,7 +9,8 @@ window.  Moore's test stops there when the n-bit windows split the
 states exactly as the (n+1)-bit ones do, as they always do for a
 Fibonacci register and its lowerings.  Otherwise the labels are refined
 by pointer doubling, starting from the (n+1)-step jump the same walk
-ends on.  Cycle structure is decided by walking the full successor graph.
+ends on.  Cycle structure, and with it whether the update is a
+bijection, is decided by one walk over the full successor graph.
 
 Everything is a pure function of immutable registers; scans over initial
 states can be partitioned freely and merged by min/union/sum.
@@ -196,6 +197,9 @@ def period_census(m: Nlfsr) -> PeriodCensus:
 
 
 def step_is_bijection(m: Nlfsr) -> bool:
-    """Whether the update permutes the state space (no two states collide)."""
-    table = successor_table(m)
-    return len(set(table)) == len(table)
+    """Whether the update permutes the state space (no two states collide).
+
+    A map of a finite set to itself is a permutation exactly when every
+    element lies on a cycle, so this is the census with no tail states.
+    """
+    return period_census(m).tail_states == 0

@@ -83,6 +83,12 @@ class TestSimulate:
     def test_missing_file(self, capsys):
         assert main(["simulate", "/nonexistent.reg", "--init", "0001", "--steps", "1"]) == 2
 
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        p = tmp_path / "binary.reg"
+        p.write_bytes(b"n = 2\nf1 = x0\xff\nf0 = x1\n")
+        assert main(["simulate", str(p), "--init", "01", "--steps", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {p}: ")
+
 
 class TestTransform:
     def test_single_move_produces_the_shifted_register(self, regs, capsys):

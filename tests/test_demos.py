@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the package in src/."""
+"""Every script under demos/ runs to completion against the package in src/,
+and the files under demos/registers/ hold the bundled sample registers."""
 
 import os
 import subprocess
@@ -7,8 +8,19 @@ from pathlib import Path
 
 import pytest
 
+from nlfsr import samples
+from nlfsr.register import Nlfsr
+from nlfsr.transform import GaloisProfile, lower_to_profile
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+REGISTERS = ROOT / "demos" / "registers"
+SAMPLES = {
+    "fibonacci.reg": samples.FIBONACCI,
+    "galois_a.reg": samples.GALOIS_A,
+    "galois_b.reg": samples.GALOIS_B,
+    "rotation.reg": samples.ROTATION,
+}
 
 
 def test_demos_found():
@@ -22,3 +34,11 @@ def test_demo_runs(script):
         [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_register_files_match_the_samples():
+    files = {p.name: Nlfsr.parse(p.read_text()) for p in REGISTERS.glob("*.reg")}
+    assert files == SAMPLES
+    profile = GaloisProfile.parse((REGISTERS / "galois_b.prof").read_text(), 4)
+    lowered, _ = lower_to_profile(files["fibonacci.reg"], profile)
+    assert lowered == files["galois_b.reg"]

@@ -315,20 +315,6 @@ class TestPeriod:
         for m in (A, B, F):
             assert period_census(m).period == 15
 
-    def test_period_from_every_state(self):
-        for m in (A, B, F):
-            for x in range(1, 16):
-                assert m.period_from(int_to_state(x, 4)) == 15
-            assert m.period_from((0, 0, 0, 0)) == 1
-
-    def test_fixed_point(self):
-        assert F.period_from((0, 0, 0, 0)) == 1
-
-    def test_tail_orbit_reports_cycle_only(self):
-        # bit 1 ANDs instead of shifting: walks from 01 fall onto the 00 fixed point
-        m = Nlfsr.parse("n = 2\nf1 = x0*x1\nf0 = x1")
-        assert m.period_from((1, 0)) == 1
-
     def test_rotation_period(self):
         assert period_census(samples.ROTATION).period == 4
         two = Nlfsr.parse("n = 2\nf1 = x0\nf0 = x1")

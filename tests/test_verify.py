@@ -231,6 +231,11 @@ class TestPeriodCensus:
         census = period_census(m)
         assert (census.cycles, census.tail_states) == census_reference(m)
 
+    @given(registers())
+    def test_bijection_exactly_when_no_two_states_collide(self, m):
+        size = 1 << m.n
+        assert step_is_bijection(m) == (len({m.step_packed(x) for x in range(size)}) == size)
+
     # One register for each way a walk can end.  Walks start from the
     # smallest unseen state, so the successor lists fix every walk.
     def test_walk_ends_on_its_own_start(self):
@@ -284,30 +289,19 @@ class TestPeriodCensus:
         assert census.tail_states == 2
         assert census.cycles == {1: 2}
         assert not step_is_bijection(m)
-        # random registers with tails, against a reference that asks each
-        # state whether stepping it period_from times brings it back
+        # random registers with tails, against the per-state reference
         rng = random.Random(31)
         checked = 0
         while checked < 25:
             n = rng.randint(2, 7)
             m = Nlfsr(random_feedback(rng, n) for _ in range(n))
-            if step_is_bijection(m):
+            cycles, tails = census_reference(m)
+            if not tails:
                 continue
-            cycles: dict[int, int] = {}
-            tails = 0
-            for x in range(1 << m.n):
-                length = m.period_from(int_to_state(x, m.n))
-                y = x
-                for _ in range(length):
-                    y = m.step_packed(y)
-                if y == x:
-                    cycles[length] = cycles.get(length, 0) + 1
-                else:
-                    tails += 1
             census = period_census(m)
-            assert tails > 0
             assert (census.cycles, census.tail_states) == (cycles, tails)
             assert census.period == max(cycles)
+            assert not step_is_bijection(m)
             checked += 1
 
     def test_uniform_registers_are_bijective_with_no_tails(self):
@@ -337,7 +331,6 @@ class TestPeriodCensus:
 # EXHAUSTIVE_LIMIT.  Each must refuse before it steps a single state.
 LIMIT_GUARDED = {
     "successor_table": successor_table,
-    "period_from": lambda m: m.period_from((0,) * m.n),
     "period_census": period_census,
     "step_is_bijection": step_is_bijection,
     "output_classes": lambda m: output_classes(m, m),
@@ -348,8 +341,9 @@ LIMIT_GUARDED = {
 
 @pytest.mark.parametrize("name", LIMIT_GUARDED)
 def test_limit_refused_before_any_step(name, monkeypatch):
-    # the walks step states one by one; the successor table is built from
-    # state-space columns without stepping, so both are made to fail
+    # every entry point builds state-space columns through walk_columns
+    # and none steps states one by one; both are made to fail, so a limit
+    # check that comes after either is caught
     def no_stepping(self, x):
         raise AssertionError("stepped a state before the limit check")
 
