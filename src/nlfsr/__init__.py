@@ -20,10 +20,8 @@ from .register import (
     state_to_int,
 )
 from .statemap import (
-    DivergenceReport,
     StateCorrection,
     build_correction,
-    sequence_divergence,
     single_shift_map,
 )
 from .transform import (
@@ -63,10 +61,8 @@ __all__ = [
     "apply_shift",
     "lower_to_profile",
     "reconstruct_fibonacci",
-    "DivergenceReport",
     "StateCorrection",
     "build_correction",
-    "sequence_divergence",
     "single_shift_map",
     "EquivalenceReport",
     "PeriodCensus",

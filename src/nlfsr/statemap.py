@@ -9,9 +9,7 @@ module builds those correction polynomials once per register and applies
 them per state, in both directions.
 
 It also provides the one-shifting building block: the single-bit state
-fix-up for a move from the terminal bit to the bit below, and a checker
-that two registers related by such a move walk through state sequences
-differing in the source bit only.
+fix-up for a move from the terminal bit to the bit below.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .anf import Anf
-from .register import Nlfsr, State, check_state, int_to_state, state_to_int
-from .transform import GaloisProfile, ShiftMove, apply_shift
+from .register import Nlfsr, State, check_state
+from .transform import GaloisProfile
 
 
 @dataclass(frozen=True)
@@ -42,6 +40,16 @@ class StateCorrection:
     n: int
     tau: int
     polys: tuple[Anf, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "polys", tuple(self.polys))
+        if not 0 <= self.tau <= self.n - 1:
+            raise ValueError(f"terminal bit {self.tau} out of range for n = {self.n}")
+        if len(self.polys) != self.n - self.tau - 1:
+            raise ValueError(
+                f"expected {self.n - self.tau - 1} correction polynomials for bits "
+                f"{self.tau + 1}..{self.n - 1}, got {len(self.polys)}"
+            )
 
     @property
     def zero_prefix_fixed(self) -> bool:
@@ -107,6 +115,8 @@ def single_shift_map(terms: Anf, source_bit: int, state: Sequence[int]) -> State
     it, provided its start state has bit ``source_bit`` replaced by the
     old value XOR the moved terms evaluated one position down.
     """
+    if source_bit < 1:
+        raise ValueError(f"source bit {source_bit} must be 1 or higher")
     sup = terms.support()
     if 0 in sup:
         raise ValueError("moved terms may not read x0")
@@ -118,60 +128,3 @@ def single_shift_map(terms: Anf, source_bit: int, state: Sequence[int]) -> State
     out = list(state)
     out[source_bit] ^= terms.shifted(-1).evaluate(state)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    """How the state sequences of a shifted register pair differ.
-
-    diffs[t] holds the bit positions where the two sequences disagree at
-    step t; ok means they never disagree outside the moved-from bit.
-    predictions_hold confirms the per-step difference at that bit equals
-    the moved terms, shifted one position down, evaluated at the shifted
-    register's current state.
-    """
-
-    bit: int
-    steps: int
-    diffs: tuple[frozenset[int], ...]
-    ok: bool
-    predictions_hold: bool
-
-
-def sequence_divergence(
-    original: Nlfsr,
-    shifted: Nlfsr,
-    move: ShiftMove,
-    state: Sequence[int],
-    steps: int,
-) -> DivergenceReport:
-    """Compare the state walks of a register and its one-bit shifted form.
-
-    ``shifted`` must be exactly apply_shift(original, move) with the move
-    going one bit down; the shifted register starts from the
-    single_shift_map image of ``state``.
-    """
-    if move.to_bit != move.from_bit - 1:
-        raise ValueError("divergence tracking needs a one-bit move")
-    if apply_shift(original, move) != shifted:
-        raise ValueError("shifted register does not match the move")
-    check_state(state, original.n)
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    moved_down = move.terms.shifted(-1)
-    x = state_to_int(state)
-    y = state_to_int(single_shift_map(move.terms, move.from_bit, state))
-    diffs = []
-    ok = predictions_hold = True
-    allowed = 1 << move.from_bit
-    for _ in range(steps):
-        d = x ^ y
-        diffs.append(frozenset(i for i in range(original.n) if d >> i & 1))
-        if d & ~allowed:
-            ok = False
-        predicted = moved_down.evaluate(int_to_state(y, original.n))
-        if bool(d & allowed) != bool(predicted):
-            predictions_hold = False
-        x = original.step_packed(x)
-        y = shifted.step_packed(y)
-    return DivergenceReport(move.from_bit, steps, tuple(diffs), ok, predictions_hold)

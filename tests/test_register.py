@@ -25,6 +25,7 @@ from nlfsr.register import (
 )
 from nlfsr.transform import GaloisProfile
 from nlfsr.verify import period_census
+from strategies import polys, registers
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 GALOIS_A_FILE = Path(__file__).resolve().parent.parent / "demos" / "registers" / "galois_a.reg"
@@ -32,20 +33,6 @@ GALOIS_A_FILE = Path(__file__).resolve().parent.parent / "demos" / "registers" /
 
 def parse_profile(text: str) -> GaloisProfile:
     return GaloisProfile.parse(text, 4)
-
-
-def polys(n: int):
-    """Polynomials in x_0..x_{n-1}, the zero polynomial and constant terms included."""
-    terms = st.frozensets(st.integers(0, n - 1), max_size=3).map(Monomial)
-    return st.frozensets(terms, max_size=4).map(Anf)
-
-
-@st.composite
-def registers(draw, max_n: int = 12) -> Nlfsr:
-    """Registers with arbitrary feedbacks: non-bijective updates and no
-    register structure are allowed."""
-    n = draw(st.integers(2, max_n))
-    return Nlfsr(draw(st.lists(polys(n), min_size=n, max_size=n)))
 
 
 @st.composite
@@ -416,7 +403,7 @@ def edge_register(n: int) -> Nlfsr:
 class TestSuccessorTable:
     """The bit-sliced table against step_packed, the per-state reference."""
 
-    @given(registers())
+    @given(registers(max_n=12))
     def test_equals_stepping_every_state(self, m):
         assert successor_table(m).tolist() == [m.step_packed(x) for x in range(1 << m.n)]
 
@@ -457,7 +444,7 @@ class TestWalk:
             assert windows[x] == sum(b << t for t, b in enumerate(bits))
             assert jump[x] == stepped(m, x, n + 1)
 
-    @given(registers())
+    @given(registers(max_n=12))
     def test_windows_and_jump_equal_stepping_every_state(self, m):
         self.check_walk(m)
 
@@ -519,7 +506,7 @@ def check_file_error(err: ValueError, text: str) -> None:
 
 
 class TestParserFuzz:
-    @given(registers())
+    @given(registers(max_n=12))
     def test_register_round_trip(self, m):
         assert Nlfsr.parse(str(m)) == m
 

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -17,10 +18,8 @@ from nlfsr.register import (
 from nlfsr.statemap import (
     StateCorrection,
     build_correction,
-    sequence_divergence,
     single_shift_map,
 )
-from nlfsr.transform import ShiftMove, apply_shift
 from nlfsr.verify import output_classes
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
@@ -65,6 +64,25 @@ class TestSingleShiftMap:
         with pytest.raises(ValueError):
             single_shift_map(Anf.parse("x3"), 2, parse_state("0001"))
 
+    @pytest.mark.parametrize("source_bit", [0, -1])
+    def test_source_bit_below_1_rejected(self, source_bit):
+        # no shifting moves terms out of the output bit, so no fix-up flips it
+        with pytest.raises(ValueError, match=f"source bit {source_bit} must be 1 or higher"):
+            single_shift_map(Anf.one(), source_bit, parse_state("0000"))
+
+    def test_staged_fixups_compose_to_the_full_correction(self):
+        rng = random.Random(43)
+        for _ in range(15):
+            n = rng.randint(4, 8)
+            fib, _, galois, moves = random_lowering(rng, n)
+            corr = build_correction(galois)
+            for x in range(1 << n):
+                s = int_to_state(x, n)
+                staged = s
+                for mv in moves:
+                    staged = single_shift_map(mv.terms, mv.from_bit, staged)
+                assert staged == corr.apply(s)
+
 
 class TestBuildCorrection:
     def test_corrections_of_terminal_1_register(self):
@@ -91,6 +109,24 @@ class TestBuildCorrection:
             for x in range(1 << galois.n):
                 s = int_to_state(x, galois.n)
                 assert corr.invert(corr.apply(s)) == s
+
+    def test_polys_stored_as_a_tuple(self):
+        corr = StateCorrection(4, 2, [Anf.parse("x0")])
+        assert corr.polys == (Anf.parse("x0"),)
+        assert hash(corr) == hash(StateCorrection(4, 2, (Anf.parse("x0"),)))
+
+    @pytest.mark.parametrize(
+        "tau, count, message",
+        [
+            (-1, 4, "terminal bit -1 out of range for n = 4"),
+            (4, 0, "terminal bit 4 out of range for n = 4"),
+            (1, 1, "expected 2 correction polynomials for bits 2..3, got 1"),
+            (1, 3, "expected 2 correction polynomials for bits 2..3, got 3"),
+        ],
+    )
+    def test_malformed_shape_rejected(self, tau, count, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StateCorrection(4, tau, [Anf.parse("x0")] * count)
 
     def test_non_uniform_rejected(self):
         m = Nlfsr.parse("n = 4\nf3 = x0 + x1\nf2 = x3 + x2*x0\nf1 = x2 + x0\nf0 = x1")
@@ -270,70 +306,3 @@ class TestZeroPrefix:
                 s = int_to_state(x, galois.n)
                 if corr.is_fixed(s):
                     assert corr.apply(s) == s
-
-
-class TestSequenceDivergence:
-    def test_published_pair_differs_in_bit_2_only(self):
-        move = ShiftMove(2, 1, Anf.parse("x1"))
-        report = sequence_divergence(A, B, move, parse_state("0001"), 15)
-        assert report.ok
-        assert report.predictions_hold
-        assert all(d <= {2} for d in report.diffs)
-        assert report.diffs[0] == {2}
-
-    def test_zero_correction_start_still_only_bit_2(self):
-        move = ShiftMove(2, 1, Anf.parse("x1"))
-        report = sequence_divergence(A, B, move, parse_state("1000"), 15)
-        assert report.ok
-        # rows 2..4 of the published table coincide
-        assert report.diffs[0] == frozenset()
-        assert report.diffs[1] == frozenset()
-        assert report.diffs[2] == frozenset()
-
-    def test_empty_move_gives_identical_sequences(self):
-        move = ShiftMove(2, 1, Anf.zero())
-        report = sequence_divergence(A, A, move, parse_state("0110"), 20)
-        assert report.ok
-        assert all(d == frozenset() for d in report.diffs)
-
-    def test_requires_one_bit_move(self):
-        move = ShiftMove(3, 1, Anf.parse("x1*x2 + x2"))
-        with pytest.raises(ValueError):
-            sequence_divergence(F, B, move, parse_state("0001"), 5)
-
-    def test_requires_matching_registers(self):
-        move = ShiftMove(2, 1, Anf.parse("x1"))
-        with pytest.raises(ValueError):
-            sequence_divergence(A, F, move, parse_state("0001"), 5)
-
-    def test_negative_steps_rejected(self):
-        move = ShiftMove(2, 1, Anf.parse("x1"))
-        with pytest.raises(ValueError, match="steps must be non-negative"):
-            sequence_divergence(A, B, move, parse_state("0001"), -3)
-
-    def test_all_states_all_stages_of_random_lowerings(self):
-        rng = random.Random(41)
-        for _ in range(8):
-            n = rng.randint(4, 6)
-            fib, _, _, moves = random_lowering(rng, n)
-            length = (1 << n) + n
-            cur = fib
-            for mv in moves:
-                nxt = apply_shift(cur, mv)
-                for x in range(1 << n):
-                    report = sequence_divergence(cur, nxt, mv, int_to_state(x, n), length)
-                    assert report.ok and report.predictions_hold
-                cur = nxt
-
-    def test_staged_fixups_compose_to_the_full_correction(self):
-        rng = random.Random(43)
-        for _ in range(15):
-            n = rng.randint(4, 8)
-            fib, _, galois, moves = random_lowering(rng, n)
-            corr = build_correction(galois)
-            for x in range(1 << n):
-                s = int_to_state(x, n)
-                staged = s
-                for mv in moves:
-                    staged = single_shift_map(mv.terms, mv.from_bit, staged)
-                assert staged == corr.apply(s)

@@ -25,22 +25,9 @@ from nlfsr.verify import (
     period_census,
     step_is_bijection,
 )
+from strategies import polys, registers
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
-
-
-def polys(n: int):
-    """Polynomials in x_0..x_{n-1}, the zero polynomial and constant terms included."""
-    terms = st.frozensets(st.integers(0, n - 1), max_size=3).map(Monomial)
-    return st.frozensets(terms, max_size=4).map(Anf)
-
-
-@st.composite
-def registers(draw, max_n: int = 10) -> Nlfsr:
-    """Registers with arbitrary feedbacks: non-bijective updates and no
-    register structure are allowed."""
-    n = draw(st.integers(2, max_n))
-    return Nlfsr(draw(st.lists(polys(n), min_size=n, max_size=n)))
 
 
 @st.composite
@@ -226,12 +213,12 @@ def census_reference(m: Nlfsr) -> tuple[dict[int, int], int]:
 
 
 class TestPeriodCensus:
-    @given(registers())
+    @given(registers(max_n=10))
     def test_equals_the_per_state_reference(self, m):
         census = period_census(m)
         assert (census.cycles, census.tail_states) == census_reference(m)
 
-    @given(registers())
+    @given(registers(max_n=10))
     def test_bijection_exactly_when_no_two_states_collide(self, m):
         size = 1 << m.n
         assert step_is_bijection(m) == (len({m.step_packed(x) for x in range(size)}) == size)
