@@ -3,15 +3,16 @@
 A lowering is a chain of one-bit shiftings: at each stage the terms not
 staying behind move one bit down, with their variable indices renumbered.
 Each stage is guarded (the register must stay uniform and well-formed)
-and each stage comes with a one-bit state fix-up; composing the fix-ups
-gives the full initial-state correction in one formula.
+and each stage comes with a one-bit state fix-up, a ``StateCorrection``
+built by ``shift_correction``; composing the fix-ups gives the full
+initial-state correction in one formula.
 """
 
 import random
 
 from nlfsr.generate import random_lowering
 from nlfsr.register import format_state, int_to_state, state_to_int
-from nlfsr.statemap import build_correction, single_shift_map
+from nlfsr.statemap import build_correction, shift_correction
 from nlfsr.transform import apply_shift, reconstruct_fibonacci
 from nlfsr.verify import output_set_equivalent
 
@@ -51,7 +52,7 @@ start = next(
 )
 staged = start
 for mv in moves:
-    staged = single_shift_map(mv.terms, mv.from_bit, staged)
+    staged = shift_correction(mv, 6).apply(staged)
 assert staged == corr.apply(start)
 print(f"\nstate {format_state(start)} maps to {format_state(staged)}, "
       "by stage-wise fix-ups and by the closed-form correction alike")

@@ -22,7 +22,7 @@ from .register import (
 from .statemap import (
     StateCorrection,
     build_correction,
-    single_shift_map,
+    shift_correction,
 )
 from .transform import (
     GaloisProfile,
@@ -63,7 +63,7 @@ __all__ = [
     "reconstruct_fibonacci",
     "StateCorrection",
     "build_correction",
-    "single_shift_map",
+    "shift_correction",
     "EquivalenceReport",
     "PeriodCensus",
     "brute_force_match",

@@ -6,10 +6,8 @@ stream requires different initial states.  The bits at or below the
 Galois register's terminal bit carry over unchanged; every bit above it
 picks up a correction computed from the register's residuals.  This
 module builds those correction polynomials once per register and applies
-them per state, in both directions.
-
-It also provides the one-shifting building block: the single-bit state
-fix-up for a move from the terminal bit to the bit below.
+them per state, in both directions.  The fix-up of a single one-bit
+shifting has the same triangular form, so it is a ``StateCorrection`` too.
 """
 
 from __future__ import annotations
@@ -19,17 +17,17 @@ from typing import Sequence
 
 from .anf import Anf
 from .register import Nlfsr, State, check_state
-from .transform import GaloisProfile
+from .transform import GaloisProfile, ShiftMove
 
 
 @dataclass(frozen=True)
 class StateCorrection:
-    """Correction polynomials of a uniform Galois register.
+    """A triangular state map: each bit above tau is XORed with a polynomial.
 
-    polys[j] corrects bit tau + 1 + j: it is the XOR of the register's
-    residuals below that bit, each shifted up to sit just under it.
-    Every correction reads only bits strictly below the bit it corrects,
-    which is what makes the mapping invertible by forward substitution.
+    polys[j] corrects bit tau + 1 + j.  In a uniform Galois register it
+    is the XOR of the residuals below that bit, each shifted up to sit
+    just under it.  Every correction reads only bits strictly below the
+    bit it corrects, which makes the map invertible by forward substitution.
 
     zero_prefix_fixed reports a structural property: when every
     correction monomial reads at least one bit at or below the terminal
@@ -50,6 +48,10 @@ class StateCorrection:
                 f"expected {self.n - self.tau - 1} correction polynomials for bits "
                 f"{self.tau + 1}..{self.n - 1}, got {len(self.polys)}"
             )
+        for bit, p in enumerate(self.polys, self.tau + 1):
+            high = max(p.support(), default=-1)
+            if high >= bit:
+                raise ValueError(f"correction of bit {bit} reads x{high}, not only bits below it")
 
     @property
     def zero_prefix_fixed(self) -> bool:
@@ -58,12 +60,6 @@ class StateCorrection:
                 if not t.indices or t.indices[0] > self.tau:
                     return False
         return True
-
-    def poly(self, i: int) -> Anf:
-        """The correction polynomial of bit i, zero for bits at or below tau."""
-        if i <= self.tau:
-            return Anf.zero()
-        return self.polys[i - self.tau - 1]
 
     def is_fixed(self, state: Sequence[int]) -> bool:
         """True when the state provably maps to itself.
@@ -79,7 +75,7 @@ class StateCorrection:
         return self.zero_prefix_fixed and not any(state[: self.tau + 1])
 
     def apply(self, state: Sequence[int]) -> State:
-        """Map a Fibonacci initial state to the matching Galois initial state."""
+        """Map a state to its image."""
         check_state(state, self.n)
         out = list(state)
         for j, p in enumerate(self.polys):
@@ -87,11 +83,11 @@ class StateCorrection:
         return tuple(out)
 
     def invert(self, state: Sequence[int]) -> State:
-        """Map a Galois initial state back to the Fibonacci initial state.
+        """Map an image back to its state.
 
         Corrections are evaluated against the partially recovered state:
         correction j reads only bits below tau + 1 + j, and those are
-        already in Fibonacci form when it runs.
+        already recovered when it runs.
         """
         check_state(state, self.n)
         out = list(state)
@@ -101,30 +97,29 @@ class StateCorrection:
 
 
 def build_correction(g: Nlfsr) -> StateCorrection:
-    """Precompute the state corrections of a uniform Galois register."""
+    """Precompute the state corrections of a uniform Galois register.
+
+    ``apply`` maps a Fibonacci start state to the matching Galois one,
+    and ``invert`` maps back.
+    """
     profile = GaloisProfile.of_register(g)
     polys = tuple(profile.telescoped(i) for i in range(profile.tau + 1, g.n))
     return StateCorrection(g.n, profile.tau, polys)
 
 
-def single_shift_map(terms: Anf, source_bit: int, state: Sequence[int]) -> State:
-    """State fix-up for one shifting from ``source_bit`` to the bit below.
+def shift_correction(move: ShiftMove, n: int) -> StateCorrection:
+    """The start-state fix-up of a one-bit shifting in an n-bit register.
 
-    When the moved terms read only bits 1..source_bit, the register
-    after the shifting generates the same output as the register before
-    it, provided its start state has bit ``source_bit`` replaced by the
-    old value XOR the moved terms evaluated one position down.
+    When the moved terms read only bits 1..from_bit, the register after
+    the shifting generates the same output as the register before it
+    from the start state whose bit ``from_bit`` is XORed with the moved
+    terms evaluated one position down.
     """
-    if source_bit < 1:
-        raise ValueError(f"source bit {source_bit} must be 1 or higher")
-    sup = terms.support()
-    if 0 in sup:
+    if move.from_bit - move.to_bit != 1:
+        raise ValueError(f"fix-up needs a one-bit shifting, got {move.from_bit} -> {move.to_bit}")
+    if move.from_bit >= n:
+        raise ValueError(f"source bit {move.from_bit} outside the {n}-bit state")
+    if 0 in move.terms.support():
         raise ValueError("moved terms may not read x0")
-    high = max(sup, default=0)
-    if high > source_bit:
-        raise ValueError(f"moved terms read x{high} above the source bit {source_bit}")
-    if source_bit >= len(state):
-        raise ValueError(f"source bit {source_bit} outside the {len(state)}-bit state")
-    out = list(state)
-    out[source_bit] ^= terms.shifted(-1).evaluate(state)
-    return tuple(out)
+    zeros = (Anf.zero(),) * (n - 1 - move.from_bit)
+    return StateCorrection(n, move.to_bit, (move.terms.shifted(-1),) + zeros)

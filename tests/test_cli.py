@@ -197,7 +197,7 @@ class TestDemo:
 
     def test_runs_as_a_module(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "nlfsr", "demo"], capture_output=True, text=True
+            [sys.executable, "-W", "error", "-m", "nlfsr", "demo"], capture_output=True, text=True
         )
         assert proc.returncode == 0
         assert proc.stdout == (DATA / "demo_table.txt").read_text()

@@ -31,7 +31,7 @@ def test_examples_found():
 def test_python_block_runs():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", PYTHON_BLOCKS[0]],
+        [sys.executable, "-W", "error", "-c", PYTHON_BLOCKS[0]],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -23,8 +23,9 @@ from nlfsr.register import (
     transpose,
     walk_columns,
 )
+from nlfsr.statemap import build_correction
 from nlfsr.transform import GaloisProfile
-from nlfsr.verify import period_census
+from nlfsr.verify import brute_force_match, period_census
 from strategies import polys, registers
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
@@ -125,6 +126,22 @@ class TestStep:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             A.step((0, 1))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda s: B.step(s),
+            lambda s: B.output_sequence(s, 4),
+            lambda s: build_correction(B).apply(s),
+            lambda s: build_correction(B).invert(s),
+            lambda s: brute_force_match(F, B, s),
+        ],
+        ids=["step", "output_sequence", "apply", "invert", "brute_force_match"],
+    )
+    def test_entry_other_than_0_or_1_refused(self, entry):
+        # check_state is the one state check, so every entry point refuses it
+        with pytest.raises(ValueError, match=re.escape("state (0, 2, 0, 0) has an entry other")):
+            entry((0, 2, 0, 0))
 
     @pytest.mark.parametrize("m", [A, B, F], ids=["A", "B", "F"])
     def test_step_matches_per_bit_evaluation(self, m):

@@ -18,8 +18,9 @@ from nlfsr.register import (
 from nlfsr.statemap import (
     StateCorrection,
     build_correction,
-    single_shift_map,
+    shift_correction,
 )
+from nlfsr.transform import ShiftMove
 from nlfsr.verify import output_classes
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
@@ -43,32 +44,34 @@ def batch_outputs(m: Nlfsr, states: list[tuple[int, ...]], steps: int) -> list[i
     return out
 
 
-class TestSingleShiftMap:
+class TestShiftCorrection:
     def test_published_fixup(self):
-        got = single_shift_map(Anf.parse("x1"), 2, parse_state("0001"))
+        got = shift_correction(ShiftMove(2, 1, Anf.parse("x1")), 4).apply(parse_state("0001"))
         assert format_state(got) == "0101"
 
     def test_zero_terms_change_nothing(self):
         s = parse_state("1011")
-        assert single_shift_map(Anf.zero(), 2, s) == s
+        assert shift_correction(ShiftMove(2, 1, Anf.zero()), 4).apply(s) == s
 
     def test_zero_correction_state(self):
         s = parse_state("1000")
-        assert single_shift_map(Anf.parse("x1"), 2, s) == s
+        assert shift_correction(ShiftMove(2, 1, Anf.parse("x1")), 4).apply(s) == s
 
     def test_terms_reading_x0_rejected(self):
-        with pytest.raises(ValueError):
-            single_shift_map(Anf.parse("x0"), 2, parse_state("0001"))
+        with pytest.raises(ValueError, match="moved terms may not read x0"):
+            shift_correction(ShiftMove(2, 1, Anf.parse("x0")), 4)
 
     def test_terms_above_source_rejected(self):
-        with pytest.raises(ValueError):
-            single_shift_map(Anf.parse("x3"), 2, parse_state("0001"))
+        with pytest.raises(ValueError, match="correction of bit 2 reads x2"):
+            shift_correction(ShiftMove(2, 1, Anf.parse("x3")), 4)
 
-    @pytest.mark.parametrize("source_bit", [0, -1])
-    def test_source_bit_below_1_rejected(self, source_bit):
-        # no shifting moves terms out of the output bit, so no fix-up flips it
-        with pytest.raises(ValueError, match=f"source bit {source_bit} must be 1 or higher"):
-            single_shift_map(Anf.one(), source_bit, parse_state("0000"))
+    def test_two_bit_move_rejected(self):
+        with pytest.raises(ValueError, match="one-bit shifting, got 3 -> 1"):
+            shift_correction(ShiftMove(3, 1, Anf.parse("x1")), 4)
+
+    def test_source_bit_outside_state_rejected(self):
+        with pytest.raises(ValueError, match="source bit 4 outside the 4-bit state"):
+            shift_correction(ShiftMove(4, 3, Anf.parse("x1")), 4)
 
     def test_staged_fixups_compose_to_the_full_correction(self):
         rng = random.Random(43)
@@ -76,11 +79,12 @@ class TestSingleShiftMap:
             n = rng.randint(4, 8)
             fib, _, galois, moves = random_lowering(rng, n)
             corr = build_correction(galois)
+            fixes = [shift_correction(mv, n) for mv in moves]
             for x in range(1 << n):
                 s = int_to_state(x, n)
                 staged = s
-                for mv in moves:
-                    staged = single_shift_map(mv.terms, mv.from_bit, staged)
+                for fix in fixes:
+                    staged = fix.apply(staged)
                 assert staged == corr.apply(s)
 
 
@@ -88,8 +92,7 @@ class TestBuildCorrection:
     def test_corrections_of_terminal_1_register(self):
         corr = build_correction(B)
         assert corr.tau == 1
-        assert corr.poly(2) == Anf.parse("x0")
-        assert corr.poly(3) == Anf.parse("x1 + x0*x1")
+        assert corr.polys == (Anf.parse("x0"), Anf.parse("x1 + x0*x1"))
 
     def test_corrections_of_terminal_2_register(self):
         corr = build_correction(A)
@@ -116,17 +119,23 @@ class TestBuildCorrection:
         assert hash(corr) == hash(StateCorrection(4, 2, (Anf.parse("x0"),)))
 
     @pytest.mark.parametrize(
-        "tau, count, message",
+        "tau, polys, message",
         [
             (-1, 4, "terminal bit -1 out of range for n = 4"),
             (4, 0, "terminal bit 4 out of range for n = 4"),
             (1, 1, "expected 2 correction polynomials for bits 2..3, got 1"),
             (1, 3, "expected 2 correction polynomials for bits 2..3, got 3"),
+            # invert recovers bits in order, so a correction may read only lower bits
+            (1, ["x3", "x0"], "correction of bit 2 reads x3, not only bits below it"),
+            (1, ["x2", "0"], "correction of bit 2 reads x2, not only bits below it"),
         ],
     )
-    def test_malformed_shape_rejected(self, tau, count, message):
+    def test_malformed_shape_rejected(self, tau, polys, message):
+        # polys holds polynomial texts, or a count of x0 polynomials
+        if isinstance(polys, int):
+            polys = ["x0"] * polys
         with pytest.raises(ValueError, match=re.escape(message)):
-            StateCorrection(4, tau, [Anf.parse("x0")] * count)
+            StateCorrection(4, tau, [Anf.parse(p) for p in polys])
 
     def test_non_uniform_rejected(self):
         m = Nlfsr.parse("n = 4\nf3 = x0 + x1\nf2 = x3 + x2*x0\nf1 = x2 + x0\nf0 = x1")
