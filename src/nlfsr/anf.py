@@ -19,7 +19,7 @@ once.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -90,6 +90,23 @@ class Monomial:
 
 
 _TOKEN = re.compile(r"\s*(x[0-9]+|1|0|\+|\*)")
+
+# The grammar of Anf.parse, whitespace insignificant, besides the lone token 0:
+#   poly := term ('+' term)* ;  term := '1' | factor ('*' factor)* ;  factor := 'x' digits
+# The table encodes it: the token kinds (first characters) that may follow each kind, "" the start.
+_FOLLOW = {"": "x1", "x": "*+", "1": "+", "*": "x", "+": "x1"}
+
+
+def is_ascii_digits(text: str) -> bool:
+    """True for a non-empty run of ASCII digits, the only integers the text formats accept."""
+    return text.isascii() and text.isdigit()
+
+
+def digits_value(digits: str) -> int | None:
+    """The value of a run of ASCII digits, or None past 4300 significant
+    digits, which int() refuses and no register index or size reaches."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= 4300 else None
 
 
 class Anf:
@@ -193,9 +210,6 @@ class Anf:
     def __hash__(self) -> int:
         return hash(self.terms)
 
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(sorted(self.terms))
-
     def __repr__(self) -> str:
         return f"Anf.parse({str(self)!r})"
 
@@ -207,12 +221,7 @@ class Anf:
 
     @classmethod
     def parse(cls, text: str, n_vars: int | None = None) -> Anf:
-        """Parse polynomial text; with n_vars given, indices must stay below it.
-
-        Grammar: ``poly := term ('+' term)* ; term := '1' | factor ('*' factor)* ;
-        factor := 'x' digits``, whitespace insignificant.  The single token
-        ``0`` is accepted as the zero polynomial.
-        """
+        """Parse polynomial text (grammar at ``_FOLLOW``); with n_vars given, indices stay below it."""
         tokens: list[tuple[str, int]] = []
         pos = 0
         while pos < len(text):
@@ -231,37 +240,26 @@ class Anf:
             return cls.zero()
 
         terms: list[Monomial] = []
-        i = 0
-        while True:
-            factors: list[int] = []
-            constant = False
-            while True:
-                if i >= len(tokens):
-                    raise ParseError("expected a factor", len(text))
-                tok, at = tokens[i]
-                if tok == "1":
-                    constant = True
-                elif tok.startswith("x"):
-                    k = int(tok[1:])
-                    if n_vars is not None and k >= n_vars:
-                        raise ParseError(f"variable x{k} out of range for {n_vars} variables", at)
-                    factors.append(k)
-                else:
-                    raise ParseError(f"expected a factor, got {tok!r}", at)
-                i += 1
-                if i < len(tokens) and tokens[i][0] == "*":
-                    if constant:
-                        raise ParseError("'1' cannot be multiplied", tokens[i][1])
-                    i += 1
-                    continue
-                break
-            if constant and factors:
-                raise ParseError("'1' cannot be multiplied", tokens[i - 1][1])
-            terms.append(Monomial(factors))
-            if i >= len(tokens):
-                break
-            tok, at = tokens[i]
-            if tok != "+":
-                raise ParseError(f"expected '+', got {tok!r}", at)
-            i += 1
+        factors: list[int] = []
+        prev = ""
+        for tok, at in tokens:
+            follow = _FOLLOW[prev[:1]]
+            if tok[0] not in follow:
+                where = f"after {prev!r}" if prev else "at the start"
+                expected = " or ".join(map(repr, follow))
+                raise ParseError(f"expected {expected} {where}, got {tok!r}", at)
+            if tok[0] == "x":
+                k = digits_value(tok[1:])
+                if k is None or n_vars is not None and k >= n_vars:
+                    limit = "any register" if k is None else f"{n_vars} variables"
+                    raise ParseError(f"variable {tok} out of range for {limit}", at)
+                factors.append(k)
+            elif tok == "+":
+                terms.append(Monomial(factors))
+                factors = []
+            prev = tok
+        # a term is complete exactly where a '+' may follow
+        if "+" not in _FOLLOW[prev[0]]:
+            raise ParseError("expected a factor", len(text))
+        terms.append(Monomial(factors))
         return cls(terms)

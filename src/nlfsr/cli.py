@@ -5,27 +5,27 @@ Subcommands: ``simulate``, ``transform``, ``map-state``, ``verify``,
 documented in ``Nlfsr.parse`` and ``GaloisProfile.parse``; states on the
 command line are bit strings with the highest index first (``0001``
 means bit 0 holds 1).  Exit codes: 0 success (and equivalent), 1
-not-equivalent, 2 any error.  All commands are deterministic given their
-files and flags.
+not-equivalent, 2 any error, 141 stdout closed before the output ended.
+All commands are deterministic given their files and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import islice
 from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import samples
-from .anf import Anf, ParseError
+from .anf import Anf, ParseError, digits_value, is_ascii_digits
 from .register import (
     ExhaustiveLimitError,
     Nlfsr,
     StructureError,
     format_state,
     int_to_state,
-    is_ascii_digits,
     parse_state,
 )
 from .statemap import build_correction
@@ -68,7 +68,10 @@ def _parse_move(text: str) -> ShiftMove:
     bits = [part.strip() for part in parts[:2]]
     if not all(is_ascii_digits(b) for b in bits):
         raise ValueError(f"move bits must be integers, got {text!r}")
-    return ShiftMove(int(bits[0]), int(bits[1]), Anf.parse(parts[2]))
+    from_bit, to_bit = map(digits_value, bits)
+    if None in (from_bit, to_bit):
+        raise ValueError(f"move bits out of range, got {text!r}")
+    return ShiftMove(from_bit, to_bit, Anf.parse(parts[2]))
 
 
 def _cmd_transform(args) -> int:
@@ -187,6 +190,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is left to devnull so
+        # that the flush at exit does not fail again, and exit as a tool
+        # stopped by SIGPIPE does (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, StructureError, ExhaustiveLimitError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

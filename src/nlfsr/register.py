@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .anf import Anf, ParseError
+from .anf import Anf, ParseError, digits_value, is_ascii_digits
 
 #: Largest register size for which whole-state-space scans run.
 EXHAUSTIVE_LIMIT = 20
@@ -77,11 +77,6 @@ def check_state(state: Sequence[int], n: int) -> None:
         raise ValueError(f"state has {len(state)} bits, register has {n}")
     if any(b not in (0, 1) for b in state):
         raise ValueError(f"state {tuple(state)} has an entry other than 0 or 1")
-
-
-def is_ascii_digits(text: str) -> bool:
-    """True for a non-empty run of ASCII digits, the only integers the file formats accept."""
-    return text.isascii() and text.isdigit()
 
 
 def assignments(text: str) -> Iterator[tuple[int, str, str]]:
@@ -182,7 +177,8 @@ class Nlfsr:
         return int_to_state(self.step_packed(state_to_int(state)), self.n)
 
     def step_packed(self, x: int) -> int:
-        """step() on an integer-packed state; the fast path for scans."""
+        """step() on an integer-packed state: one step of one orbit.  Whole-space
+        scans step every state at once through ``walk_columns`` instead."""
         out = 0
         for i, term_masks in enumerate(self._masks):
             acc = 0
@@ -193,33 +189,15 @@ class Nlfsr:
 
     def output_sequence(self, state: Sequence[int], steps: int) -> list[int]:
         """The first ``steps`` output bits (bit 0), starting with the given state."""
-        check_state(state, self.n)
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        x = state_to_int(state)
-        out = []
-        for _ in range(steps):
-            out.append(x & 1)
-            x = self.step_packed(x)
-        return out
+        return [x & 1 for x in self.run(state, steps)]
 
     def state_sequence(self, state: Sequence[int], steps: int) -> list[State]:
         """The first ``steps`` states, starting with the given state itself."""
-        check_state(state, self.n)
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        x = state_to_int(state)
-        seq = []
-        for _ in range(steps):
-            seq.append(int_to_state(x, self.n))
-            x = self.step_packed(x)
-        return seq
+        return [int_to_state(x, self.n) for x in self.run(state, steps)]
 
     def run(self, state: Sequence[int], steps: int) -> Iterator[int]:
         """The first ``steps`` packed states, starting with the given state
-        itself, made one at a time as they are read.  The two sequence
-        methods above keep their own loops, which step faster than a
-        generator does."""
+        itself, made one at a time as they are read."""
         check_state(state, self.n)
         if steps < 0:
             raise ValueError("steps must be non-negative")
@@ -316,15 +294,17 @@ class Nlfsr:
                     raise ValueError(f"line {lineno}: duplicate n")
                 if not is_ascii_digits(value):
                     raise ValueError(f"line {lineno}: n must be an integer")
-                n = int(value)
+                n = digits_value(value)
+                if n is None:
+                    raise ValueError(f"line {lineno}: n out of range")
                 if n < 2:
                     raise ValueError(f"line {lineno}: n must be at least 2")
             elif name.startswith("f") and is_ascii_digits(name[1:]):
                 if n is None:
                     raise ValueError(f"line {lineno}: n must be declared before feedbacks")
-                i = int(name[1:])
-                if i >= n:
-                    raise ValueError(f"line {lineno}: bit {i} out of range for n = {n}")
+                i = digits_value(name[1:])
+                if i is None or i >= n:
+                    raise ValueError(f"line {lineno}: bit {name[1:]} out of range for n = {n}")
                 if i in feedbacks:
                     raise ValueError(f"line {lineno}: duplicate assignment for bit {i}")
                 try:

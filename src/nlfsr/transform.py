@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .anf import Anf, ParseError
-from .register import Nlfsr, StructureError, Violation, assignments, is_ascii_digits, require_well_formed
+from .anf import Anf, ParseError, digits_value, is_ascii_digits
+from .register import Nlfsr, StructureError, Violation, assignments, require_well_formed
 
 
 class ShiftRejected(StructureError):
@@ -130,15 +130,15 @@ class GaloisProfile:
                     raise ValueError(f"line {lineno}: duplicate tau")
                 if not is_ascii_digits(value):
                     raise ValueError(f"line {lineno}: tau must be an integer")
-                tau = int(value)
-                if not 0 <= tau <= n - 1:
+                tau = digits_value(value)
+                if tau is None or not 0 <= tau <= n - 1:
                     raise ValueError(f"line {lineno}: tau out of range for n = {n}")
             elif name.startswith("g") and is_ascii_digits(name[1:]):
                 if tau is None:
                     raise ValueError(f"line {lineno}: tau must be declared first")
-                i = int(name[1:])
-                if not tau <= i <= n - 1:
-                    raise ValueError(f"line {lineno}: bit {i} outside {tau}..{n - 1}")
+                i = digits_value(name[1:])
+                if i is None or not tau <= i <= n - 1:
+                    raise ValueError(f"line {lineno}: bit {name[1:]} outside {tau}..{n - 1}")
                 if i in given:
                     raise ValueError(f"line {lineno}: duplicate residual for bit {i}")
                 try:

@@ -182,10 +182,37 @@ class TestText:
         with pytest.raises(ParseError):
             Anf.parse(bad)
 
-    def test_error_carries_position(self):
+    @pytest.mark.parametrize(
+        "text,n_vars,position",
+        [
+            ("+ x1", None, 0),
+            ("x1 +", None, 4),
+            ("x1 ** x2", None, 4),
+            ("x1 x2", None, 3),
+            ("1*x2", None, 1),
+            ("x2*1", None, 3),
+            ("x0*1*x2", None, 3),
+            ("x1 + 0", None, 5),
+            ("0 + x1", None, 0),
+            ("x1 + y2", None, 5),
+            ("1 1", None, 2),
+            # a bound fault before a later grammar fault, and the reverse
+            ("x9 + + x1", 4, 0),
+            ("x1 x9", 4, 3),
+        ],
+    )
+    def test_error_carries_position(self, text, n_vars, position):
         with pytest.raises(ParseError) as err:
-            Anf.parse("x1 + y2")
+            Anf.parse(text, n_vars)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("n_vars", [None, 4])
+    def test_index_past_4300_digits(self, n_vars):
+        # int() refuses more than 4300 digits; leading zeros do not count
+        with pytest.raises(ParseError) as err:
+            Anf.parse("x0 + x" + "1" * 5000, n_vars)
         assert err.value.position == 5
+        assert Anf.parse("x" + "0" * 5000 + "1", n_vars) == Anf.var(1)
 
     def test_bound_enforced(self):
         with pytest.raises(ParseError):

@@ -64,6 +64,21 @@ class TestSimulate:
         assert code == 0
         assert peak < 512 * 1024
 
+    @pytest.mark.parametrize("extra", [(), ("--states",)], ids=["bits", "states"])
+    def test_closed_stdout_exits_141(self, regs, extra):
+        # the reader stops after a few bytes, as `| head -c 20` does
+        cmd = [sys.executable, "-W", "error", "-m", "nlfsr", "simulate", regs["a"]]
+        cmd += ["--init", "0001", "--steps", "10000000", *extra]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                proc.stdout.read(20)
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert proc.returncode == 141
+        assert err == b""
+
     def test_negative_steps(self, regs, capsys):
         assert main(["simulate", regs["a"], "--init", "0001", "--steps", "-1"]) == 2
         captured = capsys.readouterr()
@@ -79,6 +94,12 @@ class TestSimulate:
         p.write_text("n = 4\nf3 = x9\nf2 = x3\nf1 = x2\nf0 = x1\n")
         assert main(["simulate", str(p), "--init", "0001", "--steps", "1"]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_index_past_4300_digits_names_the_line(self, tmp_path, capsys):
+        p = tmp_path / "long.reg"
+        p.write_text("n = 2\nf1 = x" + "1" * 5000 + "\nf0 = x1\n")
+        assert main(["period", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: line 2: variable x111")
 
     def test_missing_file(self, capsys):
         assert main(["simulate", "/nonexistent.reg", "--init", "0001", "--steps", "1"]) == 2
@@ -138,6 +159,11 @@ class TestTransform:
     def test_move_bits_must_be_ascii_digits(self, regs, capsys, move):
         assert main(["transform", regs["a"], "--move", move]) == 2
         assert "move bits must be integers" in capsys.readouterr().err
+
+
+    def test_move_bits_past_4300_digits(self, regs, capsys):
+        assert main(["transform", regs["a"], "--move", "1" * 5000 + ",1,x1"]) == 2
+        assert "move bits out of range" in capsys.readouterr().err
 
 
 class TestMapState:

@@ -375,6 +375,22 @@ class TestFileFormat:
         if parse is Anf.parse:
             assert isinstance(err.value, ParseError) and err.value.position == 0
 
+    @pytest.mark.parametrize(
+        "parse,text,fragment",
+        [
+            pytest.param(Nlfsr.parse, "n = 2\nf1 = x" + "1" * 5000, "line 2: variable", id="reg-index"),
+            pytest.param(Nlfsr.parse, "n = " + "1" * 5000, "line 1: n out of range", id="reg-n"),
+            pytest.param(Nlfsr.parse, "n = 2\nf" + "1" * 5000 + " = x0", "line 2: bit", id="reg-bit"),
+            pytest.param(parse_profile, "tau = " + "1" * 5000, "line 1: tau out of range", id="prof-tau"),
+            pytest.param(parse_profile, "tau = 1\ng" + "1" * 5000 + " = x0", "line 2: bit", id="prof-bit"),
+        ],
+    )
+    def test_numbers_past_4300_digits_refused_on_their_line(self, parse, text, fragment):
+        # int() refuses them; any such value is larger than every register
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert str(err.value).startswith(fragment)
+
     def test_missing_bits_of_a_huge_register_reported_briefly(self):
         # the report names the lowest missing bit and how many are missing,
         # at a cost set by the lines given, not by n
