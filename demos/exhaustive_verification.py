@@ -10,7 +10,7 @@ import random
 
 from nlfsr import samples
 from nlfsr.generate import random_lowering
-from nlfsr.register import format_state, int_to_state, state_to_int
+from nlfsr.register import format_state, int_to_state
 from nlfsr.statemap import build_correction
 from nlfsr.verify import (
     brute_force_match,

@@ -11,7 +11,7 @@ initial-state correction in one formula.
 import random
 
 from nlfsr.generate import random_lowering
-from nlfsr.register import format_state, int_to_state, state_to_int
+from nlfsr.register import format_state, int_to_state
 from nlfsr.statemap import build_correction, shift_correction
 from nlfsr.transform import apply_shift, reconstruct_fibonacci
 from nlfsr.verify import output_set_equivalent

@@ -43,7 +43,7 @@ class Monomial:
     def __init__(self, indices: Iterable[int] = ()):
         idx = tuple(sorted(set(indices)))
         for k in idx:
-            if not isinstance(k, int) or k < 0:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"variable index must be a non-negative integer, got {k!r}")
         object.__setattr__(self, "indices", idx)
 

@@ -103,8 +103,7 @@ def build_correction(g: Nlfsr) -> StateCorrection:
     and ``invert`` maps back.
     """
     profile = GaloisProfile.of_register(g)
-    polys = tuple(profile.telescoped(i) for i in range(profile.tau + 1, g.n))
-    return StateCorrection(g.n, profile.tau, polys)
+    return StateCorrection(g.n, profile.tau, profile.telescopes()[:-1])
 
 
 def shift_correction(move: ShiftMove, n: int) -> StateCorrection:

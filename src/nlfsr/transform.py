@@ -3,14 +3,16 @@
 A shifting takes a set of product-terms out of the feedback of one bit
 and XORs it, with indices renumbered by (k - from + to) mod n, into the
 feedback of a lower bit.  It preserves the set of output sequences only
-under guard conditions, which applyShift checks constructively on both
+under guard conditions, which apply_shift checks constructively on both
 the source and the transformed register; a failed guard raises with the
 exact structural violations instead of returning a wrong register.
 
 lower_to_profile drives a Fibonacci register down to a requested Galois
 shape through a chain of one-bit shiftings, and reconstruct_fibonacci
 recovers the unique Fibonacci register a uniform Galois register came
-from.
+from.  Both read the telescopes of a profile's residuals r_i: T_{tau+1} =
+r_tau and T_{i+1} = T_i shifted up one, XOR r_i.  The hop from bit t
+moves T_{t+1} ^ r_t, which is T_t shifted up one, to bit t - 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .anf import Anf, ParseError, digits_value, is_ascii_digits
-from .register import Nlfsr, StructureError, Violation, assignments, require_well_formed
+from .register import Nlfsr, StructureError, assignments, require_well_formed
 
 
 class ShiftRejected(StructureError):
@@ -86,17 +88,17 @@ class GaloisProfile:
             return Anf.zero()
         return self.residuals[i - self.tau]
 
-    def telescoped(self, i: int) -> Anf:
-        """XOR of the residuals of bits tau..i-1, each shifted up to sit just under bit i.
+    def telescopes(self) -> tuple[Anf, ...]:
+        """T_{tau+1}, ..., T_n: T_i is the XOR of the residuals of bits tau..i-1,
+        each shifted up to sit just under bit i.
 
-        For tau < i < n this is the state correction of bit i.  It is also
-        what a lowering brings into bit i - 1 from above, so at i = n it is
-        the residual of the Fibonacci top feedback the profile lowers from.
+        For tau < i < n, T_i is the state correction of bit i; T_n is the
+        residual of the Fibonacci top feedback the profile lowers from.
         """
-        acc = Anf.zero()
-        for k in range(self.tau, i):
-            acc = acc ^ self.residual(k).shifted(i - 1 - k)
-        return acc
+        out = [self.residuals[0]]
+        for r in self.residuals[1:]:
+            out.append(out[-1].shifted(1) ^ r)
+        return tuple(out)
 
     def register(self) -> Nlfsr:
         """The register this profile describes."""
@@ -156,7 +158,9 @@ class GaloisProfile:
 
 
 def _apply_one(m: Nlfsr, move: ShiftMove) -> Nlfsr:
-    """One guarded hop; preconditions on m are the caller's responsibility."""
+    """One guarded hop.  Unchecked preconditions: m is uniform and well-formed,
+    the move spans one bit, and from_bit is not below m's terminal bit
+    (above it the residual is zero, so the term check refuses the move)."""
     source = m.residual(move.from_bit)
     if not move.terms.terms <= source.terms:
         missing = min(move.terms.terms - source.terms)
@@ -214,42 +218,37 @@ def lower_to_profile(fib: Nlfsr, profile: GaloisProfile) -> tuple[Nlfsr, list[Sh
     terms move on to bit t-1.  Returns the final register together with
     the one-bit moves performed.
 
-    The profile must telescope to the source: XORing every residual
-    shifted up to position n-1 must reproduce the top feedback's
-    residual.  Profiles that pass that check can still be unreachable
-    when a pending term collides with a residual the profile wants left
-    behind (the two would cancel and there would be nothing to move);
-    those are rejected.
+    The profile must telescope to the source: T_n must be the top
+    feedback's residual.  It is still unreachable when a term of T_t
+    shifted up one is missing from the T_{t+1} that arrives at bit t
+    (it cancelled against r_t); that hop raises ShiftRejected.  Every
+    hop leaves r_t behind, so a returned register is profile.register().
     """
     if fib.n != profile.n:
         raise ValueError(f"register has {fib.n} bits, profile expects {profile.n}")
     require_well_formed(fib)
     if not fib.is_fibonacci():
         raise StructureError("lowering starts from a Fibonacci register")
-    if profile.telescoped(fib.n) != fib.residual(fib.n - 1):
+    telescopes = profile.telescopes()
+    if telescopes[-1] != fib.residual(fib.n - 1):
         raise StructureError(
             "profile is inconsistent with the register: the residuals do not "
             "telescope to the top feedback"
         )
-    target = profile.register()
     current = fib
     moves: list[ShiftMove] = []
     for t in range(fib.n - 1, profile.tau, -1):
-        pending = profile.telescoped(t + 1) ^ profile.residual(t)
+        pending = telescopes[t - profile.tau] ^ profile.residual(t)
         if pending.is_zero:
             continue
         move = ShiftMove(t, t - 1, pending)
         try:
-            current = apply_shift(current, move)
+            current = _apply_one(current, move)
         except ShiftRejected as e:
             raise ShiftRejected(
                 f"profile is unreachable at bit {t}: {e}", e.violations
             ) from None
         moves.append(move)
-    if current != target:
-        raise StructureError(
-            "profile is unreachable: pending terms cancel against residuals"
-        )
     return current, moves
 
 
@@ -260,4 +259,4 @@ def reconstruct_fibonacci(g: Nlfsr) -> Nlfsr:
     top feedback; lowering the result back through the register's own
     profile returns g.
     """
-    return Nlfsr.fibonacci(g.n, Anf.var(0) ^ GaloisProfile.of_register(g).telescoped(g.n))
+    return Nlfsr.fibonacci(g.n, Anf.var(0) ^ GaloisProfile.of_register(g).telescopes()[-1])

@@ -24,11 +24,9 @@ from nlfsr.register import (
 )
 from nlfsr.statemap import build_correction, shift_correction
 from nlfsr.transform import (
-    GaloisProfile,
     ShiftMove,
     ShiftRejected,
     apply_shift,
-    lower_to_profile,
     reconstruct_fibonacci,
 )
 from nlfsr.verify import output_classes, period_census

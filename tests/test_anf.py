@@ -35,9 +35,12 @@ class TestMonomial:
         assert str(m) == "1"
         assert Anf.one().evaluate((0, 0)) == 1
 
-    def test_negative_index_rejected(self):
+    @pytest.mark.parametrize("index", [-1, True, False])
+    def test_bad_index_rejected(self, index):
+        # a bool is an int to isinstance, but x1 would print as xTrue,
+        # text that no parser accepts
         with pytest.raises(ValueError):
-            Monomial([-1])
+            Monomial([index])
 
     def test_shift_below_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from nlfsr.register import (
 from nlfsr.statemap import build_correction
 from nlfsr.transform import GaloisProfile
 from nlfsr.verify import brute_force_match, period_census
-from strategies import polys, registers
+from strategies import polys, profiles, registers
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 GALOIS_A_FILE = Path(__file__).resolve().parent.parent / "demos" / "registers" / "galois_a.reg"
@@ -34,21 +34,6 @@ GALOIS_A_FILE = Path(__file__).resolve().parent.parent / "demos" / "registers" /
 
 def parse_profile(text: str) -> GaloisProfile:
     return GaloisProfile.parse(text, 4)
-
-
-@st.composite
-def profiles(draw, max_n: int = 8) -> GaloisProfile:
-    """Any legal profile, the tau = n - 1 and zero-residual cases included."""
-    n = draw(st.integers(2, max_n))
-    tau = draw(st.integers(0, n - 1))
-    residuals = []
-    for i in range(tau, n):
-        lowest = 1 if i == n - 1 else 0  # the top residual may not read x0
-        terms = st.frozensets(st.integers(0, tau), max_size=3).map(
-            lambda ks: Monomial(k for k in ks if k >= lowest)
-        )
-        residuals.append(draw(st.frozensets(terms, max_size=3).map(Anf)))
-    return GaloisProfile(n, tau, tuple(residuals))
 
 
 # The published side-by-side state table of the equivalent trio:

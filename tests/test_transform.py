@@ -1,6 +1,8 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from nlfsr import samples
 from nlfsr.anf import Anf
@@ -15,6 +17,7 @@ from nlfsr.transform import (
     reconstruct_fibonacci,
 )
 from nlfsr.verify import output_set_equivalent
+from strategies import profiles
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 
@@ -91,6 +94,38 @@ class TestApplyShift:
             apply_shift(m, ShiftMove(4, 1, Anf.parse("x1*x2*x4")))
         kinds = {v.kind for v in err.value.violations}
         assert "reads-outside-window" in kinds
+
+
+def shifted_residual_sum(profile: GaloisProfile, i: int) -> Anf:
+    """The residuals of bits tau..i-1, each shifted up to sit just under bit i."""
+    acc = Anf.zero()
+    for k in range(profile.tau, i):
+        acc = acc ^ profile.residual(k).shifted(i - 1 - k)
+    return acc
+
+
+class TestLoweringRule:
+    @settings(max_examples=300)
+    @given(profiles(max_n=9))
+    def test_returns_exactly_when_every_hop_finds_its_terms(self, profile):
+        # the hop from bit t moves T_t shifted up one out of the T_{t+1}
+        # that arrived at bit t; the lowering succeeds exactly when each
+        # such set is present there, and then builds the profile's register
+        n, tau = profile.n, profile.tau
+        tele = {i: shifted_residual_sum(profile, i) for i in range(tau + 1, n + 1)}
+        fib = Nlfsr.fibonacci(n, Anf.var(0) ^ tele[n])
+        reachable = all(tele[t].shifted(1).terms <= tele[t + 1].terms for t in range(tau + 1, n))
+        if not reachable:
+            with pytest.raises(ShiftRejected):
+                lower_to_profile(fib, profile)
+            return
+        galois, moves = lower_to_profile(fib, profile)
+        assert galois == profile.register()
+        assert moves == [
+            ShiftMove(t, t - 1, tele[t].shifted(1))
+            for t in range(n - 1, tau, -1)
+            if not tele[t].is_zero
+        ]
 
 
 class TestGaloisProfile:
@@ -239,3 +274,19 @@ class TestRandomProfiles:
             reg = p.register()
             assert reg.terminal_bit() == p.tau
             assert reg.violations() == []
+
+    @pytest.mark.parametrize(
+        "seed,n,digest",
+        [
+            (1, 5, "7f03cafb187773f3fe610aed11e919a832eced8795cf5a6c2500586b02a3f78c"),
+            (2, 11, "5a9494ffd192adf591c9b42b1ffb1ab933ff97ff3d7f0c3581f01e8e1639873c"),
+            (3, 14, "bfd0c0ea45bec1959e3c00b64e24aa8074a40a6e177b4d569358d7af6bbf2e09"),
+            (4, 18, "eb17d8e389833da24898554680ad2b9e32d0fa37998e96f9dd442542a3918653"),
+        ],
+    )
+    def test_lowerings_are_pinned(self, seed, n, digest):
+        # the benchmark draws its registers through random_lowering; a change
+        # to the resampling rule or the draw order would silently change them
+        fib, profile, galois, moves = random_lowering(random.Random(seed), n)
+        text = "\n".join([str(fib), str(profile), str(galois), *map(str, moves)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
