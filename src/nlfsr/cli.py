@@ -107,7 +107,10 @@ def _cmd_verify(args) -> int:
     print(report.verdict)
     if report.witness is not None:
         side = args.register_a if report.witness_side == "first" else args.register_b
-        print(f"witness: state {format_state(report.witness)} of {side} has no output match")
+        state = format_state(report.witness)
+        if report.window is not None:
+            state += f" (window {format_state(report.window)})"
+        print(f"witness: state {state} of {side} has no output match")
     return 0 if report.verdict == "equivalent" else 1
 
 

@@ -1,15 +1,15 @@
 """Ground-truth oracles: exhaustive simulation over whole state spaces.
 
 These checks never use the algebraic machinery they are meant to judge.
-Equivalence of two registers is decided by labelling every initial state
-of both with a class of its infinite output stream and comparing the
-classes.  One bit-sliced walk per register steps all 2^n states n + 1
-times at once.  The labels start as each state's (n+1)-bit output
-window.  Moore's test stops there when the n-bit windows split the
-states exactly as the (n+1)-bit ones do, as they always do for a
-Fibonacci register and its lowerings.  Otherwise the labels are refined
-by pointer doubling, starting from the (n+1)-step jump the same walk
-ends on.  Cycle structure, and with it whether the update is a
+One bit-sliced walk per register steps all 2^n states n + 1 times at
+once and gives each state its (n+1)-bit output window.  Equivalence is
+decided from the two sets of windows.  A window that one register emits
+and the other never does starts no stream of the other, so the registers
+are not equivalent.  Equal sets that pass Moore's test (no two windows
+differ only in their last bit) are the exact output classes, so the
+registers are equivalent.  Only equal sets that fail it are refined into
+exact classes, by pointer doubling from the (n+1)-step jump the same
+walk ends on.  Cycle structure, and with it whether the update is a
 bijection, is decided by one walk over the full successor graph.
 
 Everything is a pure function of immutable registers; scans over initial
@@ -34,6 +34,17 @@ from .register import (
 )
 
 
+def _windows(m: Nlfsr) -> tuple[memoryview, list[int]]:
+    """Walk every state of the register n + 1 steps at once.
+
+    Returns each state's (n+1)-bit output window, one lane per state
+    with bit t the output at time t, and the columns of the states the
+    walk ends on, which give the (n+1)-step jump.
+    """
+    outputs, state = walk_columns(m, m.n + 1)
+    return transpose(outputs, m.n), state
+
+
 def output_classes(a: Nlfsr, b: Nlfsr) -> tuple[list[int], list[int]]:
     """Label every state of two registers so that equal labels mean equal outputs.
 
@@ -41,7 +52,7 @@ def output_classes(a: Nlfsr, b: Nlfsr) -> tuple[list[int], list[int]]:
     register or not, get the same label exactly when they emit the same
     infinite output stream.
 
-    ``walk_columns`` steps each register's whole state space n + 1
+    ``_windows`` steps each register's whole state space n + 1
     times, and each state's first label is its (n+1)-bit output window:
     bit t is its output at time t.  An n-bit window is the shortest that
     can tell 2^n states apart, and one more bit allows Moore's stop test
@@ -60,8 +71,8 @@ def output_classes(a: Nlfsr, b: Nlfsr) -> tuple[list[int], list[int]]:
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
     n = a.n
     size = 1 << n
-    walks = [walk_columns(m, n + 1) for m in (a, b)]
-    windows = [transpose(outputs, n).tolist() for outputs, _ in walks]
+    walks = [_windows(m) for m in (a, b)]
+    windows = [lanes.tolist() for lanes, _ in walks]
     distinct = set(windows[0]).union(windows[1])
     # two windows that differ only in bit n share their n-bit window
     if distinct.isdisjoint(map(size.__xor__, distinct)):
@@ -103,29 +114,61 @@ class EquivalenceReport:
 
     witness is a state of one register whose output stream no state of
     the other reproduces, present exactly for the not-equivalent verdict
-    (witness_side tells which register it belongs to).  It is the
-    smallest such state of the first register, or, when every state of
-    the first register has a match, the smallest such state of the second.
+    (witness_side tells which register it belongs to).  When the window
+    sets decide, it is the smallest state of the first register whose
+    (n+1)-bit output window the second never emits, or else the smallest
+    such state of the second, and window is that window: window[t] is the
+    witness's output at time t.  When the refinement decides, it is the
+    smallest state of the first register whose infinite output stream no
+    state of the second emits, or else the smallest such state of the
+    second, and window is None.
     """
 
     verdict: Verdict
     witness: State | None = None
     witness_side: Literal["first", "second"] | None = None
+    window: State | None = None
 
 
 def output_set_equivalent(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
     """Decide whether two registers generate the same set of output sequences.
 
-    The registers are equivalent exactly when their states carry the same
-    set of output classes; a class present on one side only settles
-    non-equivalence with a state of that class as witness.
+    Each side's (n+1)-bit windows are marked in a bytearray indexed by
+    window.  Marks that differ settle non-equivalence, with a state whose
+    window is unmarked on the other side as witness.  Equal marks settle
+    equivalence when no window is marked together with its copy with the
+    last bit flipped, that is, when the low and high halves of the marks
+    share no mark.  Otherwise ``output_classes`` labels every state
+    exactly, and the registers are equivalent exactly when both sides
+    carry the same set of labels.
     """
+    if a.n != b.n:
+        raise ValueError(f"registers have different sizes {a.n} and {b.n}")
+    n = a.n
+    windows = [_windows(m)[0] for m in (a, b)]
+    marks = []
+    for lanes in windows:
+        marked = bytearray(2 << n)
+        for w in lanes:
+            marked[w] = 1
+        marks.append(marked)
+    if marks[0] != marks[1]:
+        side, x, w = next(
+            (side, x, w)
+            for side, lanes, other in (("first", windows[0], marks[1]), ("second", windows[1], marks[0]))
+            for x, w in enumerate(lanes)
+            if not other[w]
+        )
+        return EquivalenceReport("not-equivalent", int_to_state(x, n), side, int_to_state(w, n + 1))
+    half = 1 << n
+    if not int.from_bytes(marks[0][:half], "little") & int.from_bytes(marks[0][half:], "little"):
+        return EquivalenceReport("equivalent")
     ca, cb = output_classes(a, b)
     for side, labels, other in (("first", ca, cb), ("second", cb, ca)):
         missing = set(labels).difference(other)
         if missing:
             x = next(x for x, c in enumerate(labels) if c in missing)
-            return EquivalenceReport("not-equivalent", int_to_state(x, a.n), side)
+            return EquivalenceReport("not-equivalent", int_to_state(x, n), side)
     return EquivalenceReport("equivalent")
 
 

@@ -11,6 +11,7 @@ from nlfsr.cli import main
 from nlfsr.register import Nlfsr
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -199,6 +200,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.startswith("not-equivalent\n")
         assert "witness" in out
+
+    def test_witness_line_shows_its_window(self, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        fib, rot = "demos/registers/fibonacci.reg", "demos/registers/rotation.reg"
+        assert main(["verify", fib, rot]) == 1
+        assert capsys.readouterr().out == (
+            "not-equivalent\n"
+            f"witness: state 0010 (window 10010) of {fib} has no output match\n"
+        )
 
 
 class TestPeriod:

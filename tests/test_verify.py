@@ -18,6 +18,7 @@ from nlfsr.register import (
 )
 from nlfsr.statemap import build_correction
 from nlfsr.verify import (
+    EquivalenceReport,
     PeriodCensus,
     brute_force_match,
     output_classes,
@@ -138,27 +139,55 @@ class TestBruteForceMatch:
 class TestOutputSetEquivalence:
     @given(register_pairs())
     def test_agrees_with_output_prefixes(self, pair):
-        # the smallest state of the first register with no counterpart,
-        # else the smallest of the second; streams that differ do so
-        # within their first 2^(n+1) bits
+        # streams that differ do so within their first 2^(n+1) bits
         a, b = pair
-        size = 1 << a.n
-        sa = [tuple(a.output_sequence(int_to_state(x, a.n), 2 * size)) for x in range(size)]
-        sb = [tuple(b.output_sequence(int_to_state(y, b.n), 2 * size)) for y in range(size)]
-        in_a, in_b = set(sa), set(sb)
-        unmatched = [(x, "first") for x in range(size) if sa[x] not in in_b]
-        unmatched += [(y, "second") for y in range(size) if sb[y] not in in_a]
+        n = a.n
+        size = 1 << n
+        sa = [tuple(a.output_sequence(int_to_state(x, n), 2 * size)) for x in range(size)]
+        sb = [tuple(b.output_sequence(int_to_state(y, n), 2 * size)) for y in range(size)]
         report = output_set_equivalent(a, b)
-        if unmatched:
-            x, side = unmatched[0]
-            assert report.verdict == "not-equivalent"
-            assert (report.witness, report.witness_side) == (int_to_state(x, a.n), side)
+        if set(sa) == set(sb):
+            assert report == EquivalenceReport("equivalent")
+            return
+        # the smallest state of the first register whose (n+1)-bit window
+        # the second never emits, else the smallest such of the second
+        wa, wb = ({s[: n + 1] for s in streams} for streams in (sa, sb))
+        unseen = [(x, "first", sa[x][: n + 1]) for x in range(size) if sa[x][: n + 1] not in wb]
+        unseen += [(y, "second", sb[y][: n + 1]) for y in range(size) if sb[y][: n + 1] not in wa]
+        if unseen:
+            x, side, window = unseen[0]
+            assert report == EquivalenceReport("not-equivalent", int_to_state(x, n), side, window)
         else:
-            assert (report.verdict, report.witness, report.witness_side) == (
-                "equivalent",
-                None,
-                None,
-            )
+            # equal window sets leave the refinement's witness: the
+            # smallest state whose whole stream has no counterpart
+            in_a, in_b = set(sa), set(sb)
+            unmatched = [(x, "first") for x in range(size) if sa[x] not in in_b]
+            unmatched += [(y, "second") for y in range(size) if sb[y] not in in_a]
+            x, side = unmatched[0]
+            assert report == EquivalenceReport("not-equivalent", int_to_state(x, n), side)
+        # either way no state of the other side reproduces the witness's stream
+        own, other = (sa, sb) if report.witness_side == "first" else (sb, sa)
+        assert own[state_to_int(report.witness)] not in set(other)
+
+    @given(register_pairs())
+    def test_verdict_is_the_class_set_comparison(self, pair):
+        a, b = pair
+        ca, cb = output_classes(a, b)
+        expected = "equivalent" if set(ca) == set(cb) else "not-equivalent"
+        assert output_set_equivalent(a, b).verdict == expected
+
+    def test_window_sets_decide_without_refinement(self, monkeypatch):
+        def no_refinement(a, b):
+            raise AssertionError("refined labels the window sets could decide")
+
+        monkeypatch.setattr(verify, "output_classes", no_refinement)
+        for x, y in ((A, B), (F, A), (F, F), (F, samples.ROTATION), (samples.ROTATION, F)):
+            output_set_equivalent(x, y)
+
+    def test_size_mismatch(self):
+        two = Nlfsr.parse("n = 2\nf1 = x0\nf0 = x1")
+        with pytest.raises(ValueError, match="different sizes"):
+            output_set_equivalent(A, two)
 
     def test_published_trio_pairwise(self):
         assert output_set_equivalent(A, B).verdict == "equivalent"
@@ -185,6 +214,43 @@ class TestOutputSetEquivalence:
                 output_set_equivalent(x, y).verdict
                 == output_set_equivalent(y, x).verdict
             )
+
+
+class TestRefinementFallback:
+    """Equal window sets that fail Moore's test leave the verdict to
+    ``output_classes``; both hand-made cases are equivalent."""
+
+    CASES = {
+        "self": ("n = 3\nf2 = x0\nf1 = x1\nf0 = 1 + x1*x2",) * 2,
+        "pair": (
+            "n = 2\nf1 = x0 + x0*x1 + x1\nf0 = 1 + x0*x1",
+            "n = 2\nf1 = x0*x1 + x1\nf0 = 1 + x0 + x0*x1",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_verdict_agrees_with_output_prefixes(self, case, monkeypatch):
+        a, b = (Nlfsr.parse(text) for text in self.CASES[case])
+        n = a.n
+        size = 1 << n
+        sa, sb = (
+            {tuple(m.output_sequence(int_to_state(x, n), 2 * size)) for x in range(size)}
+            for m in (a, b)
+        )
+        windows = {s[: n + 1] for s in sa}
+        assert windows == {s[: n + 1] for s in sb}
+        # Moore's test fails: two windows differ only in their last bit
+        assert len({w[:n] for w in windows}) < len(windows)
+        refined = []
+
+        def counting(a, b):
+            refined.append((a, b))
+            return output_classes(a, b)
+
+        monkeypatch.setattr(verify, "output_classes", counting)
+        report = output_set_equivalent(a, b)
+        assert refined == [(a, b)]
+        assert report.verdict == ("equivalent" if sa == sb else "not-equivalent")
 
 
 def random_feedback(rng: random.Random, n: int) -> Anf:
