@@ -5,6 +5,11 @@ of them simultaneously: the next value of bit i is f_i evaluated at the
 current state, where f_i is an ANF polynomial.  The output stream is the
 value of bit 0 over time.
 
+Each feedback is stored split once as f_i = x_{(i+1) mod n} XOR r_i, an
+identity that holds for every register.  Fibonacci and Galois forms
+differ only in where the nonzero residuals r_i sit, and a step is one
+rotation with each nonzero residual XORed in at its bit.
+
 Bit-order conventions: states are stored index-ascending, ``(s_0, ...,
 s_{n-1})``.  All *text* I/O prints the highest index first, so the string
 ``0001`` means s_0 = 1 and s_1 = s_2 = s_3 = 0.  Packed integers use bit i
@@ -127,7 +132,7 @@ def int_to_state(x: int, n: int) -> State:
 class Nlfsr:
     """An n-bit register defined by one feedback polynomial per bit."""
 
-    __slots__ = ("n", "feedbacks", "_masks", "_terminal")
+    __slots__ = ("n", "feedbacks", "_residuals", "_residual_masks")
 
     def __init__(self, feedbacks: Iterable[Anf]):
         fbs = tuple(feedbacks)
@@ -140,17 +145,13 @@ class Nlfsr:
             high = max(f.support(), default=-1)
             if high >= n:
                 raise ValueError(f"feedback f{i} reads x{high} but the register has {n} bits")
+        zero = Anf.zero()  # one object for every pure shift's residual
+        residuals = tuple(f ^ Anf.var((i + 1) % n) or zero for i, f in enumerate(fbs))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "feedbacks", fbs)
-        object.__setattr__(
-            self, "_masks", tuple(tuple(t.mask() for t in f.terms) for f in fbs)
-        )
-        terminal = n - 1
-        for i in range(n - 1):
-            if fbs[i] != Anf.var(i + 1):
-                terminal = i
-                break
-        object.__setattr__(self, "_terminal", terminal)
+        masks = tuple((i, tuple(t.mask() for t in r.terms)) for i, r in enumerate(residuals) if r)
+        object.__setattr__(self, "_residuals", residuals)
+        object.__setattr__(self, "_residual_masks", masks)
 
     def __setattr__(self, name, value):
         raise AttributeError("Nlfsr is immutable")
@@ -177,15 +178,15 @@ class Nlfsr:
         return int_to_state(self.step_packed(state_to_int(state)), self.n)
 
     def step_packed(self, x: int) -> int:
-        """step() on an integer-packed state: one step of one orbit.  Whole-space
-        scans step every state at once through ``walk_columns`` instead."""
-        out = 0
-        for i, term_masks in enumerate(self._masks):
+        """step() on a packed state, one orbit: rotate right one bit, then XOR
+        each nonzero residual in at its bit.  ``walk_columns`` steps all states."""
+        y = (x >> 1) | (x & 1) << (self.n - 1)
+        for i, term_masks in self._residual_masks:
             acc = 0
             for m in term_masks:
                 acc ^= x & m == m
-            out |= acc << i
-        return out
+            y ^= acc << i
+        return y
 
     def output_sequence(self, state: Sequence[int], steps: int) -> list[int]:
         """The first ``steps`` output bits (bit 0), starting with the given state."""
@@ -212,12 +213,12 @@ class Nlfsr:
     # -- structure --------------------------------------------------------
 
     def terminal_bit(self) -> int:
-        """Largest t such that every bit below t is a pure shift f_i = x_{i+1}."""
-        return self._terminal
+        """The first bit below n - 1 that is not a pure shift f_i = x_{i+1}, else n - 1."""
+        return next((i for i, r in enumerate(self._residuals[:-1]) if r), self.n - 1)
 
     def is_fibonacci(self) -> bool:
         """True when every bit except the top one is a pure shift."""
-        return self._terminal == self.n - 1
+        return self.terminal_bit() == self.n - 1
 
     def residual(self, i: int) -> Anf:
         """The feedback of bit i with its shift tap x_{(i+1) mod n} removed.
@@ -226,7 +227,7 @@ class Nlfsr:
         i.e. the feedback is not singular.
         """
         tap = (i + 1) % self.n
-        g = self.feedbacks[i] ^ Anf.var(tap)
+        g = self._residuals[i]
         if tap in g.support():
             raise StructureError(
                 f"feedback of bit {i} is not singular",
@@ -248,22 +249,18 @@ class Nlfsr:
         """
         window: list[Violation] = []
         uniformity: list[Violation] = []
-        tau = self._terminal
-        for i, f in enumerate(self.feedbacks):
+        tau = self.terminal_bit()
+        for i, (f, r) in enumerate(zip(self.feedbacks, self._residuals)):
             tap = (i + 1) % self.n
-            sup = f.support()
-            if tap not in sup:
+            if tap not in f.support():
                 window.append(Violation("missing-shift-tap", i, tap))
-            for k in sorted(sup):
-                if k > i and k != tap:
-                    window.append(Violation("reads-outside-window", i, k))
-            residual_reads = (f ^ Anf.var(tap)).support()
-            if tap in residual_reads:
+            # f = x_tap + r, so f and r read the same variables besides the tap
+            reads = sorted(r.support())
+            window += [Violation("reads-outside-window", i, k) for k in reads if k > i and k != tap]
+            if tap in reads:
                 uniformity.append(Violation("non-singular", i, tap))
             elif i > tau:
-                for k in sorted(residual_reads):
-                    if k > tau:
-                        uniformity.append(Violation("reads-above-terminal", i, k))
+                uniformity += [Violation("reads-above-terminal", i, k) for k in reads if k > tau]
         return window + uniformity
 
     # -- text form ----------------------------------------------------------
@@ -349,12 +346,12 @@ def walk_columns(m: Nlfsr, steps: int) -> tuple[list[int], list[int]]:
     """Step every state of the register ``steps`` times at once, bit-sliced.
 
     Each variable x_k over all 2^n states is one 2^n-bit column (bit x
-    of the column is bit k of x), and each step evaluates every feedback
-    once over all states as an XOR of ANDs of columns.  Returns
-    ``(outputs, state)``: outputs[t] is column 0 before step t, so bit x
-    of it is the output at time t from state x, and state[i] is column i
-    of the states reached after the last step.  ``transpose`` turns
-    either list into one lane per state.
+    of the column is bit k of x).  A step rotates the columns and XORs
+    each nonzero residual, an XOR of ANDs of columns, in at its bit.
+    Returns ``(outputs, state)``: outputs[t] is column 0 before step t,
+    so bit x of it is the output at time t from state x, and state[i] is
+    column i of the states reached after the last step.  ``transpose``
+    turns either list into one lane per state.
     """
     check_limit(m.n)
     state = _columns(m.n)
@@ -362,7 +359,10 @@ def walk_columns(m: Nlfsr, steps: int) -> tuple[list[int], list[int]]:
     outputs = []
     for _ in range(steps):
         outputs.append(state[0])
-        state = [f.evaluate(state, ones) for f in m.feedbacks]
+        nxt = state[1:] + state[:1]
+        for i, _ in m._residual_masks:
+            nxt[i] ^= m._residuals[i].evaluate(state, ones)
+        state = nxt
     return outputs, state
 
 

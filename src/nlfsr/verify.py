@@ -50,15 +50,25 @@ def output_classes(a: Nlfsr, b: Nlfsr) -> tuple[list[int], list[int]]:
 
     Entry x of each list labels packed state x; two states, of the same
     register or not, get the same label exactly when they emit the same
-    infinite output stream.
+    infinite output stream.  Both registers are walked by ``_windows``
+    and the walks refined by ``_refined_classes``.
+    """
+    if a.n != b.n:
+        raise ValueError(f"registers have different sizes {a.n} and {b.n}")
+    return _refined_classes([_windows(m) for m in (a, b)], a.n)
 
-    ``_windows`` steps each register's whole state space n + 1
-    times, and each state's first label is its (n+1)-bit output window:
-    bit t is its output at time t.  An n-bit window is the shortest that
-    can tell 2^n states apart, and one more bit allows Moore's stop test
-    (Moore 1956): if no two distinct windows, over both registers, differ
-    only in their last bit, the n- and (n+1)-bit output prefixes split
-    the states alike, so every longer prefix does too and the windows are
+
+def _refined_classes(
+    walks: list[tuple[memoryview, list[int]]], n: int
+) -> tuple[list[int], list[int]]:
+    """``output_classes`` of the two registers whose ``_windows`` walks are given.
+
+    Each state's first label is its (n+1)-bit output window: bit t is
+    its output at time t.  An n-bit window is the shortest that can tell
+    2^n states apart, and one more bit allows Moore's stop test (Moore
+    1956): if no two distinct windows, over both registers, differ only
+    in their last bit, the n- and (n+1)-bit output prefixes split the
+    states alike, so every longer prefix does too and the windows are
     the exact labels.  Otherwise the windows are relabelled densely and
     the states after the walk give the (n+1)-step jump.  Each round of
     pointer doubling then relabels every state of both registers by its
@@ -67,11 +77,7 @@ def output_classes(a: Nlfsr, b: Nlfsr) -> tuple[list[int], list[int]]:
     When a round adds no label, a prefix and its double split the states
     alike, and the labels are exact.
     """
-    if a.n != b.n:
-        raise ValueError(f"registers have different sizes {a.n} and {b.n}")
-    n = a.n
     size = 1 << n
-    walks = [_windows(m) for m in (a, b)]
     windows = [lanes.tolist() for lanes, _ in walks]
     distinct = set(windows[0]).union(windows[1])
     # two windows that differ only in bit n share their n-bit window
@@ -82,7 +88,7 @@ def output_classes(a: Nlfsr, b: Nlfsr) -> tuple[list[int], list[int]]:
     label = [ids[w] for ws in windows for w in ws]
     del ids, windows, distinct
     jump = transpose(walks[0][1], n).tolist() + [y + size for y in transpose(walks[1][1], n)]
-    del walks
+    del walks  # frees them when output_classes passed the only reference
     while True:
         ids = {}
         label = [ids.setdefault(c * count + label[j], len(ids)) for c, j in zip(label, jump)]
@@ -138,14 +144,15 @@ def output_set_equivalent(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
     window is unmarked on the other side as witness.  Equal marks settle
     equivalence when no window is marked together with its copy with the
     last bit flipped, that is, when the low and high halves of the marks
-    share no mark.  Otherwise ``output_classes`` labels every state
-    exactly, and the registers are equivalent exactly when both sides
-    carry the same set of labels.
+    share no mark.  Otherwise the same walks are refined into exact
+    ``output_classes`` labels, and the registers are equivalent exactly
+    when both sides carry the same set of labels.
     """
     if a.n != b.n:
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
     n = a.n
-    windows = [_windows(m)[0] for m in (a, b)]
+    walks = [_windows(m) for m in (a, b)]
+    windows = [lanes for lanes, _ in walks]
     marks = []
     for lanes in windows:
         marked = bytearray(2 << n)
@@ -163,7 +170,7 @@ def output_set_equivalent(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
     half = 1 << n
     if not int.from_bytes(marks[0][:half], "little") & int.from_bytes(marks[0][half:], "little"):
         return EquivalenceReport("equivalent")
-    ca, cb = output_classes(a, b)
+    ca, cb = _refined_classes(walks, n)
     for side, labels, other in (("first", ca, cb), ("second", cb, ca)):
         missing = set(labels).difference(other)
         if missing:

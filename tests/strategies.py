@@ -1,4 +1,6 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies, and a reference stepper, shared by the test modules."""
+
+from functools import lru_cache
 
 from hypothesis import strategies as st
 
@@ -19,6 +21,28 @@ def registers(draw, max_n: int) -> Nlfsr:
     updates and no register structure are allowed."""
     n = draw(st.integers(2, max_n))
     return Nlfsr(draw(st.lists(polys(n), min_size=n, max_size=n)))
+
+
+@lru_cache(maxsize=64)
+def _term_masks(m: Nlfsr) -> list[tuple[int, list[int]]]:
+    """(bit i, the AND-mask of each term of f_i), built here from the indices."""
+    return [(i, [sum(1 << k for k in t.indices) for t in f.terms]) for i, f in enumerate(m.feedbacks)]
+
+
+def reference_step(m: Nlfsr, x: int) -> int:
+    """Packed state x after one step, read term by term off ``m.feedbacks``:
+    bit i is the parity of the terms of f_i whose variables are all set.
+
+    It uses neither the register's stored split nor ``Anf.evaluate``, so
+    it stays an independent reference for every stepper of the library.
+    """
+    out = 0
+    for i, masks in _term_masks(m):
+        parity = 0
+        for mask in masks:
+            parity ^= x & mask == mask
+        out |= parity << i
+    return out
 
 
 @st.composite

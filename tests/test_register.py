@@ -26,7 +26,7 @@ from nlfsr.register import (
 from nlfsr.statemap import build_correction
 from nlfsr.transform import GaloisProfile
 from nlfsr.verify import brute_force_match, period_census
-from strategies import polys, profiles, registers
+from strategies import polys, profiles, reference_step, registers
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 GALOIS_A_FILE = Path(__file__).resolve().parent.parent / "demos" / "registers" / "galois_a.reg"
@@ -135,6 +135,30 @@ class TestStep:
             expected = tuple(f.evaluate(s) for f in m.feedbacks)
             assert m.step(s) == expected
             assert m.step_packed(x) == state_to_int(expected)
+
+    @given(registers(max_n=12))
+    def test_step_matches_per_bit_evaluation_on_any_register(self, m):
+        # arbitrary feedbacks: missing taps, constants, non-bijective updates
+        n = m.n
+        states = range(1 << n) if n <= 8 else random.Random(n).sample(range(1 << n), 256)
+        for x in states:
+            s = int_to_state(x, n)
+            expected = tuple(f.evaluate(s) for f in m.feedbacks)
+            assert m.step(s) == expected
+            assert m.step_packed(x) == state_to_int(expected) == reference_step(m, x)
+
+    @pytest.mark.parametrize("n", [33, 64, 128])
+    def test_orbits_past_the_exhaustive_limit(self, n):
+        # step_packed has no size cap: the wrap into bit n - 1 and every
+        # residual must hold on wide registers too
+        m = edge_register(n)
+        x = random.Random(n).getrandbits(n)
+        outputs = m.output_sequence(int_to_state(x, n), 300)
+        for t in range(300):
+            assert outputs[t] == x & 1
+            y = reference_step(m, x)
+            assert m.step_packed(x) == y
+            x = y
 
 
 class TestSequences:
@@ -394,9 +418,9 @@ class TestFileFormat:
 
 
 def stepped(m: Nlfsr, x: int, steps: int) -> int:
-    """Packed state x after ``steps`` steps of step_packed."""
+    """Packed state x after ``steps`` steps of the term-by-term reference."""
     for _ in range(steps):
-        x = m.step_packed(x)
+        x = reference_step(m, x)
     return x
 
 
@@ -419,37 +443,37 @@ def edge_register(n: int) -> Nlfsr:
 
 
 class TestSuccessorTable:
-    """The bit-sliced table against step_packed, the per-state reference."""
+    """The bit-sliced table against reference_step, the per-state reference."""
 
     @given(registers(max_n=12))
     def test_equals_stepping_every_state(self, m):
-        assert successor_table(m).tolist() == [m.step_packed(x) for x in range(1 << m.n)]
+        assert successor_table(m).tolist() == [reference_step(m, x) for x in range(1 << m.n)]
 
     @pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
     def test_byte_group_edges(self, n):
         # the transpose packs successor bits 0-7, 8-15, 16-23 into separate
         # lane bytes; these sizes start or end a group
         m = edge_register(n)
-        assert successor_table(m).tolist() == [m.step_packed(x) for x in range(1 << m.n)]
+        assert successor_table(m).tolist() == [reference_step(m, x) for x in range(1 << m.n)]
 
     def test_read_only(self):
         table = successor_table(A)
         with pytest.raises(TypeError):
             table[0] = 1
-        assert table[0] == A.step_packed(0)
+        assert table[0] == reference_step(A, 0)
 
 
 class TestWalk:
     """The (n+1)-bit output windows and the (n+1)-step jump of one walk
-    against output_sequence and step_packed, the per-state references."""
+    against output_sequence and reference_step, the per-state references."""
 
     def check_walk(self, m: Nlfsr) -> None:
-        # every state follows the step_packed table n + 1 times, and a
+        # every state follows the reference_step table n + 1 times, and a
         # sample of states is stepped one by one through the references
         n = m.n
         outputs, state = walk_columns(m, n + 1)
         windows, jump = transpose(outputs, n).tolist(), transpose(state, n).tolist()
-        succ = [m.step_packed(x) for x in range(1 << n)]
+        succ = [reference_step(m, x) for x in range(1 << n)]
         ref = [0] * (1 << n)
         at = list(range(1 << n))
         for t in range(n + 1):

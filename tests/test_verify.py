@@ -26,7 +26,7 @@ from nlfsr.verify import (
     period_census,
     step_is_bijection,
 )
-from strategies import polys, registers
+from strategies import polys, reference_step, registers
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 
@@ -177,10 +177,10 @@ class TestOutputSetEquivalence:
         assert output_set_equivalent(a, b).verdict == expected
 
     def test_window_sets_decide_without_refinement(self, monkeypatch):
-        def no_refinement(a, b):
+        def no_refinement(walks, n):
             raise AssertionError("refined labels the window sets could decide")
 
-        monkeypatch.setattr(verify, "output_classes", no_refinement)
+        monkeypatch.setattr(verify, "_refined_classes", no_refinement)
         for x, y in ((A, B), (F, A), (F, F), (F, samples.ROTATION), (samples.ROTATION, F)):
             output_set_equivalent(x, y)
 
@@ -241,16 +241,34 @@ class TestRefinementFallback:
         assert windows == {s[: n + 1] for s in sb}
         # Moore's test fails: two windows differ only in their last bit
         assert len({w[:n] for w in windows}) < len(windows)
+        exact = output_classes(a, b)
         refined = []
+        refine = verify._refined_classes
 
-        def counting(a, b):
-            refined.append((a, b))
-            return output_classes(a, b)
+        def counting(walks, n):
+            refined.append(refine(walks, n))
+            return refined[-1]
 
-        monkeypatch.setattr(verify, "output_classes", counting)
+        monkeypatch.setattr(verify, "_refined_classes", counting)
         report = output_set_equivalent(a, b)
-        assert refined == [(a, b)]
+        # refined once, into the exact labels of the pair
+        assert refined == [exact]
         assert report.verdict == ("equivalent" if sa == sb else "not-equivalent")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refinement_reuses_the_walks(self, case, monkeypatch):
+        # the fallback refines the two walks that settled the window sets
+        a, b = (Nlfsr.parse(text) for text in self.CASES[case])
+        walked = []
+        walk = verify.walk_columns
+
+        def counting(m, steps):
+            walked.append(m)
+            return walk(m, steps)
+
+        monkeypatch.setattr(verify, "walk_columns", counting)
+        output_set_equivalent(a, b)
+        assert walked == [a, b]
 
 
 def random_feedback(rng: random.Random, n: int) -> Anf:
@@ -261,10 +279,10 @@ def random_feedback(rng: random.Random, n: int) -> Anf:
 
 
 def census_reference(m: Nlfsr) -> tuple[dict[int, int], int]:
-    """Cycles and tail count state by state from step_packed.  A state is
-    on a cycle exactly when it survives repeated images of the whole
+    """Cycles and tail count state by state from reference_step.  A state
+    is on a cycle exactly when it survives repeated images of the whole
     state space, and its cycle length is how far it steps to come back."""
-    succ = [m.step_packed(x) for x in range(1 << m.n)]
+    succ = [reference_step(m, x) for x in range(1 << m.n)]
     on_cycle = set(range(len(succ)))
     image = {succ[x] for x in on_cycle}
     while image != on_cycle:
@@ -287,7 +305,7 @@ class TestPeriodCensus:
     @given(registers(max_n=10))
     def test_bijection_exactly_when_no_two_states_collide(self, m):
         size = 1 << m.n
-        assert step_is_bijection(m) == (len({m.step_packed(x) for x in range(size)}) == size)
+        assert step_is_bijection(m) == (len({reference_step(m, x) for x in range(size)}) == size)
 
     # One register for each way a walk can end.  Walks start from the
     # smallest unseen state, so the successor lists fix every walk.
