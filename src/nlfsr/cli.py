@@ -19,15 +19,8 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import samples
-from .anf import Anf, ParseError, digits_value, is_ascii_digits
-from .register import (
-    ExhaustiveLimitError,
-    Nlfsr,
-    StructureError,
-    format_state,
-    int_to_state,
-    parse_state,
-)
+from .anf import Anf, digits_value, is_ascii_digits
+from .register import Nlfsr, format_state, int_to_state, parse_state
 from .statemap import build_correction
 from .transform import GaloisProfile, ShiftMove, apply_shift, lower_to_profile
 from .verify import output_set_equivalent, period_census
@@ -199,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         # stopped by SIGPIPE does (128 + 13)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ParseError, StructureError, ExhaustiveLimitError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -77,10 +77,10 @@ class Violation:
 
 
 def check_state(state: Sequence[int], n: int) -> None:
-    """Refuse a state that does not have exactly n bits, each 0 or 1."""
+    """Refuse a state that does not have exactly n bits, each the int 0 or 1."""
     if len(state) != n:
         raise ValueError(f"state has {len(state)} bits, register has {n}")
-    if any(b not in (0, 1) for b in state):
+    if any(type(b) is not int or b not in (0, 1) for b in state):
         raise ValueError(f"state {tuple(state)} has an entry other than 0 or 1")
 
 

@@ -2,15 +2,15 @@
 
 These checks never use the algebraic machinery they are meant to judge.
 One bit-sliced walk per register steps all 2^n states n + 1 times at
-once and gives each state its (n+1)-bit output window.  Equivalence is
-decided from the two sets of windows.  A window that one register emits
-and the other never does starts no stream of the other, so the registers
-are not equivalent.  Equal sets that pass Moore's test (no two windows
-differ only in their last bit) are the exact output classes, so the
-registers are equivalent.  Only equal sets that fail it are refined into
-exact classes, by pointer doubling from the (n+1)-step jump the same
-walk ends on.  Cycle structure, and with it whether the update is a
-bijection, is decided by one walk over the full successor graph.
+once and labels each state with its (n+1)-bit output window.  Each
+side's labels are marked in one bytearray.  Only equal marks that fail
+Moore's test (two windows differ only in their last bit) are refined,
+into exact output classes, by pointer doubling from the (n+1)-step jump
+the same walk ends on.  Then one rule decides: equal marks mean the
+registers are equivalent, and a state whose label the other side never
+marks starts no stream of the other, so it witnesses that they are not.
+Cycle structure, and with it whether the update is a bijection, is
+decided by one walk over the full successor graph.
 
 Everything is a pure function of immutable registers; scans over initial
 states can be partitioned freely and merged by min/union/sum.
@@ -19,8 +19,9 @@ states can be partitioned freely and merged by min/union/sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
-from typing import Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 from .register import (
     Nlfsr,
@@ -45,53 +46,63 @@ def _windows(m: Nlfsr) -> tuple[memoryview, list[int]]:
     return transpose(outputs, m.n), state
 
 
+def _marks(labels: Iterable[int], n: int) -> bytearray:
+    """One byte per possible label below 2^(n+1), set for each label given."""
+    marks = bytearray(2 << n)
+    for c in labels:
+        marks[c] = 1
+    return marks
+
+
+def _moore(marks: bytearray, n: int) -> bool:
+    """Moore's stop test (Moore 1956) on marked (n+1)-bit windows: no two
+    differ only in their last bit, so the low and high halves of the marks
+    share none.  Then the n- and (n+1)-bit output prefixes split the states
+    alike, so every longer prefix does too, and the windows are exact."""
+    half = 1 << n
+    return not int.from_bytes(marks[:half], "little") & int.from_bytes(marks[half:], "little")
+
+
 def output_classes(a: Nlfsr, b: Nlfsr) -> tuple[list[int], list[int]]:
     """Label every state of two registers so that equal labels mean equal outputs.
 
     Entry x of each list labels packed state x; two states, of the same
     register or not, get the same label exactly when they emit the same
-    infinite output stream.  Both registers are walked by ``_windows``
-    and the walks refined by ``_refined_classes``.
+    infinite output stream.  Every label is below 2^(n+1).  The labels
+    are the (n+1)-bit output windows of ``_windows`` when the windows of
+    both registers pass ``_moore``, and ``_refined_classes`` otherwise.
     """
     if a.n != b.n:
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
-    return _refined_classes([_windows(m) for m in (a, b)], a.n)
+    walks = [_windows(m) for m in (a, b)]
+    marks = _marks(chain(walks[0][0], walks[1][0]), a.n)
+    if _moore(marks, a.n):
+        return walks[0][0].tolist(), walks[1][0].tolist()
+    return _refined_classes(walks, a.n, marks.count(1))
 
 
 def _refined_classes(
-    walks: list[tuple[memoryview, list[int]]], n: int
+    walks: list[tuple[memoryview, list[int]]], n: int, count: int
 ) -> tuple[list[int], list[int]]:
-    """``output_classes`` of the two registers whose ``_windows`` walks are given.
+    """Exact output classes of the two registers whose ``_windows`` walks
+    are given, which mark ``count`` distinct windows between them.
 
-    Each state's first label is its (n+1)-bit output window: bit t is
-    its output at time t.  An n-bit window is the shortest that can tell
-    2^n states apart, and one more bit allows Moore's stop test (Moore
-    1956): if no two distinct windows, over both registers, differ only
-    in their last bit, the n- and (n+1)-bit output prefixes split the
-    states alike, so every longer prefix does too and the windows are
-    the exact labels.  Otherwise the windows are relabelled densely and
-    the states after the walk give the (n+1)-step jump.  Each round of
-    pointer doubling then relabels every state of both registers by its
-    own label and the label of the state one jump ahead, and squares the
+    Each state's first label is its (n+1)-bit output window, and the
+    states after the walk give the (n+1)-step jump.  Each round of
+    pointer doubling relabels every state of both registers by its own
+    label and the label of the state one jump ahead, and squares the
     jump, so the labels stand for prefixes of 2(n+1), 4(n+1), ... bits.
     When a round adds no label, a prefix and its double split the states
-    alike, and the labels are exact.
+    alike, and the labels are exact.  Labels are numbered in order of
+    first appearance, so every label stays below the 2^(n+1) states.
     """
     size = 1 << n
-    windows = [lanes.tolist() for lanes, _ in walks]
-    distinct = set(windows[0]).union(windows[1])
-    # two windows that differ only in bit n share their n-bit window
-    if distinct.isdisjoint(map(size.__xor__, distinct)):
-        return windows[0], windows[1]
-    count = len(distinct)
-    ids = dict(zip(distinct, range(count)))
-    label = [ids[w] for ws in windows for w in ws]
-    del ids, windows, distinct
+    label = walks[0][0].tolist() + walks[1][0].tolist()
     jump = transpose(walks[0][1], n).tolist() + [y + size for y in transpose(walks[1][1], n)]
-    del walks  # frees them when output_classes passed the only reference
+    width = n + 1
     while True:
         ids = {}
-        label = [ids.setdefault(c * count + label[j], len(ids)) for c, j in zip(label, jump)]
+        label = [ids.setdefault(c << width | label[j], len(ids)) for c, j in zip(label, jump)]
         if len(ids) == count:
             return label[:size], label[size:]
         count = len(ids)
@@ -107,8 +118,11 @@ def brute_force_match(a: Nlfsr, b: Nlfsr, state: Sequence[int]) -> State | None:
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
     check_state(state, a.n)
     ca, cb = output_classes(a, b)
-    target = ca[state_to_int(state)]
-    return int_to_state(cb.index(target), b.n) if target in cb else None
+    try:
+        y = cb.index(ca[state_to_int(state)])
+    except ValueError:
+        return None
+    return int_to_state(y, b.n)
 
 
 Verdict = Literal["equivalent", "not-equivalent"]
@@ -120,14 +134,13 @@ class EquivalenceReport:
 
     witness is a state of one register whose output stream no state of
     the other reproduces, present exactly for the not-equivalent verdict
-    (witness_side tells which register it belongs to).  When the window
-    sets decide, it is the smallest state of the first register whose
-    (n+1)-bit output window the second never emits, or else the smallest
-    such state of the second, and window is that window: window[t] is the
-    witness's output at time t.  When the refinement decides, it is the
-    smallest state of the first register whose infinite output stream no
-    state of the second emits, or else the smallest such state of the
-    second, and window is None.
+    (witness_side tells which register it belongs to).  It is the
+    smallest state of the first register whose label the second register
+    never carries, or else the smallest such state of the second.  The
+    labels are the (n+1)-bit output windows, and window is the witness's
+    window: window[t] is its output at time t.  When the windows are
+    equal sets that fail Moore's test, the labels are the refined
+    ``output_classes`` of the infinite streams, and window is None.
     """
 
     verdict: Verdict
@@ -139,44 +152,32 @@ class EquivalenceReport:
 def output_set_equivalent(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
     """Decide whether two registers generate the same set of output sequences.
 
-    Each side's (n+1)-bit windows are marked in a bytearray indexed by
-    window.  Marks that differ settle non-equivalence, with a state whose
-    window is unmarked on the other side as witness.  Equal marks settle
-    equivalence when no window is marked together with its copy with the
-    last bit flipped, that is, when the low and high halves of the marks
-    share no mark.  Otherwise the same walks are refined into exact
-    ``output_classes`` labels, and the registers are equivalent exactly
-    when both sides carry the same set of labels.
+    Each side's (n+1)-bit windows are marked by ``_marks``.  Equal marks
+    that fail ``_moore`` are swapped for the ``_refined_classes`` labels
+    of the same walks and their marks.  Then equal marks mean equivalent,
+    and otherwise the witness is a state whose label the other side
+    never marks, as ``EquivalenceReport`` states.
     """
     if a.n != b.n:
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
     n = a.n
     walks = [_windows(m) for m in (a, b)]
-    windows = [lanes for lanes, _ in walks]
-    marks = []
-    for lanes in windows:
-        marked = bytearray(2 << n)
-        for w in lanes:
-            marked[w] = 1
-        marks.append(marked)
-    if marks[0] != marks[1]:
-        side, x, w = next(
-            (side, x, w)
-            for side, lanes, other in (("first", windows[0], marks[1]), ("second", windows[1], marks[0]))
-            for x, w in enumerate(lanes)
-            if not other[w]
-        )
-        return EquivalenceReport("not-equivalent", int_to_state(x, n), side, int_to_state(w, n + 1))
-    half = 1 << n
-    if not int.from_bytes(marks[0][:half], "little") & int.from_bytes(marks[0][half:], "little"):
+    labels = [lanes for lanes, _ in walks]
+    marks = [_marks(lanes, n) for lanes in labels]
+    refined = marks[0] == marks[1] and not _moore(marks[0], n)
+    if refined:
+        labels = _refined_classes(walks, n, marks[0].count(1))
+        marks = [_marks(classes, n) for classes in labels]
+    if marks[0] == marks[1]:
         return EquivalenceReport("equivalent")
-    ca, cb = _refined_classes(walks, n)
-    for side, labels, other in (("first", ca, cb), ("second", cb, ca)):
-        missing = set(labels).difference(other)
-        if missing:
-            x = next(x for x, c in enumerate(labels) if c in missing)
-            return EquivalenceReport("not-equivalent", int_to_state(x, n), side)
-    return EquivalenceReport("equivalent")
+    side, x, c = next(
+        (side, x, c)
+        for side, own, other in (("first", labels[0], marks[1]), ("second", labels[1], marks[0]))
+        for x, c in enumerate(own)
+        if not other[c]
+    )
+    window = None if refined else int_to_state(c, n + 1)
+    return EquivalenceReport("not-equivalent", int_to_state(x, n), side, window)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Hypothesis strategies, and a reference stepper, shared by the test modules."""
+"""Hypothesis strategies, a reference stepper and a register pair shared by the test modules."""
 
 from functools import lru_cache
 
@@ -43,6 +43,18 @@ def reference_step(m: Nlfsr, x: int) -> int:
             parity ^= x & mask == mask
         out |= parity << i
     return out
+
+
+# Bits 1-6 (first) or 1-5 (second) count, x_k' = x_k + x1*...*x_{k-1},
+# and bit 0 emits 1 one step after the count wraps.  Both emit the same
+# 16 eight-bit windows, which fail Moore's test, but the first emits a 1
+# every 64 steps and the second every 32, so they are not equivalent.
+COUNTERS = (
+    "n = 7\nf6 = x1*x2*x3*x4*x5 + x6\nf5 = x1*x2*x3*x4 + x5\nf4 = x1*x2*x3 + x4\n"
+    "f3 = x1*x2 + x3\nf2 = x1 + x2\nf1 = 1 + x1\nf0 = x1*x2*x3*x4*x5*x6",
+    "n = 7\nf6 = x6\nf5 = x1*x2*x3*x4 + x5\nf4 = x1*x2*x3 + x4\n"
+    "f3 = x1*x2 + x3\nf2 = x1 + x2\nf1 = 1 + x1\nf0 = x1*x2*x3*x4*x5",
+)
 
 
 @st.composite

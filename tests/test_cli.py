@@ -9,6 +9,7 @@ import pytest
 from nlfsr import samples
 from nlfsr.cli import main
 from nlfsr.register import Nlfsr
+from strategies import COUNTERS
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
@@ -208,6 +209,18 @@ class TestVerify:
         assert capsys.readouterr().out == (
             "not-equivalent\n"
             f"witness: state 0010 (window 10010) of {fib} has no output match\n"
+        )
+
+    def test_witness_line_without_a_window(self, tmp_path, capsys):
+        # equal window sets that fail Moore's test: the refinement finds
+        # the witness, which has no window to show
+        paths = []
+        for name, text in zip(("c64", "c32"), COUNTERS):
+            paths.append(tmp_path / f"{name}.reg")
+            paths[-1].write_text(text + "\n")
+        assert main(["verify", *map(str, paths)]) == 1
+        assert capsys.readouterr().out == (
+            f"not-equivalent\nwitness: state 0000000 of {paths[0]} has no output match\n"
         )
 
 

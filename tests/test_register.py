@@ -124,9 +124,12 @@ class TestStep:
         ids=["step", "output_sequence", "apply", "invert", "brute_force_match"],
     )
     def test_entry_other_than_0_or_1_refused(self, entry):
-        # check_state is the one state check, so every entry point refuses it
-        with pytest.raises(ValueError, match=re.escape("state (0, 2, 0, 0) has an entry other")):
-            entry((0, 2, 0, 0))
+        # check_state is the one state check, so every entry point refuses
+        # it; a bool or a float equal to 1 is not the int 1 either
+        for bad in (2, True, 1.0):
+            state = (0, bad, 0, 0)
+            with pytest.raises(ValueError, match=re.escape(f"state {state} has an entry other")):
+                entry(state)
 
     @pytest.mark.parametrize("m", [A, B, F], ids=["A", "B", "F"])
     def test_step_matches_per_bit_evaluation(self, m):

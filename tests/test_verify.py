@@ -26,7 +26,7 @@ from nlfsr.verify import (
     period_census,
     step_is_bijection,
 )
-from strategies import polys, reference_step, registers
+from strategies import COUNTERS, polys, reference_step, registers
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 
@@ -177,7 +177,7 @@ class TestOutputSetEquivalence:
         assert output_set_equivalent(a, b).verdict == expected
 
     def test_window_sets_decide_without_refinement(self, monkeypatch):
-        def no_refinement(walks, n):
+        def no_refinement(walks, n, count):
             raise AssertionError("refined labels the window sets could decide")
 
         monkeypatch.setattr(verify, "_refined_classes", no_refinement)
@@ -218,7 +218,8 @@ class TestOutputSetEquivalence:
 
 class TestRefinementFallback:
     """Equal window sets that fail Moore's test leave the verdict to
-    ``output_classes``; both hand-made cases are equivalent."""
+    ``output_classes``; the self and pair cases are equivalent, the
+    counters are not."""
 
     CASES = {
         "self": ("n = 3\nf2 = x0\nf1 = x1\nf0 = 1 + x1*x2",) * 2,
@@ -226,6 +227,7 @@ class TestRefinementFallback:
             "n = 2\nf1 = x0 + x0*x1 + x1\nf0 = 1 + x0*x1",
             "n = 2\nf1 = x0*x1 + x1\nf0 = 1 + x0 + x0*x1",
         ),
+        "counters": COUNTERS,
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -233,8 +235,9 @@ class TestRefinementFallback:
         a, b = (Nlfsr.parse(text) for text in self.CASES[case])
         n = a.n
         size = 1 << n
+        # streams that differ do so within their first 2^(n+1) bits
         sa, sb = (
-            {tuple(m.output_sequence(int_to_state(x, n), 2 * size)) for x in range(size)}
+            [tuple(m.output_sequence(int_to_state(x, n), 2 * size)) for x in range(size)]
             for m in (a, b)
         )
         windows = {s[: n + 1] for s in sa}
@@ -245,15 +248,24 @@ class TestRefinementFallback:
         refined = []
         refine = verify._refined_classes
 
-        def counting(walks, n):
-            refined.append(refine(walks, n))
+        def counting(walks, n, count):
+            refined.append(refine(walks, n, count))
             return refined[-1]
 
         monkeypatch.setattr(verify, "_refined_classes", counting)
         report = output_set_equivalent(a, b)
         # refined once, into the exact labels of the pair
         assert refined == [exact]
-        assert report.verdict == ("equivalent" if sa == sb else "not-equivalent")
+        in_a, in_b = set(sa), set(sb)
+        if in_a == in_b:
+            assert report == EquivalenceReport("equivalent")
+            return
+        # the smallest state of the first register whose stream the
+        # second never emits, else the smallest such of the second
+        unmatched = [(x, "first") for x in range(size) if sa[x] not in in_b]
+        unmatched += [(y, "second") for y in range(size) if sb[y] not in in_a]
+        x, side = unmatched[0]
+        assert report == EquivalenceReport("not-equivalent", int_to_state(x, n), side)
 
     @pytest.mark.parametrize("case", CASES)
     def test_refinement_reuses_the_walks(self, case, monkeypatch):
