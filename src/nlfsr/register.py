@@ -224,8 +224,11 @@ class Nlfsr:
         """The feedback of bit i with its shift tap x_{(i+1) mod n} removed.
 
         Fails with StructureError when the remainder still reads the tap,
-        i.e. the feedback is not singular.
+        i.e. the feedback is not singular, and with ValueError for a bit
+        outside 0..n-1.
         """
+        if not 0 <= i < self.n:
+            raise ValueError(f"bit {i} out of range for n = {self.n}")
         tap = (i + 1) % self.n
         g = self._residuals[i]
         if tap in g.support():

@@ -3,16 +3,19 @@
 A shifting takes a set of product-terms out of the feedback of one bit
 and XORs it, with indices renumbered by (k - from + to) mod n, into the
 feedback of a lower bit.  It preserves the set of output sequences only
-under guard conditions, which apply_shift checks constructively on both
-the source and the transformed register; a failed guard raises with the
-exact structural violations instead of returning a wrong register.
+under guard conditions.  A move chosen by the caller can break them, so
+apply_shift alone checks every hop constructively; a failed guard raises
+with the exact structural violations instead of returning a wrong register.
 
 lower_to_profile drives a Fibonacci register down to a requested Galois
 shape through a chain of one-bit shiftings, and reconstruct_fibonacci
 recovers the unique Fibonacci register a uniform Galois register came
 from.  Both read the telescopes of a profile's residuals r_i: T_{tau+1} =
 r_tau and T_{i+1} = T_i shifted up one, XOR r_i.  The hop from bit t
-moves T_{t+1} ^ r_t, which is T_t shifted up one, to bit t - 1.
+moves T_{t+1} ^ r_t, which is T_t shifted up one, to bit t - 1.  By this
+telescope rule a lowering succeeds exactly when r_t is part of T_{t+1} at
+every bit t above tau, every hop then leaves a uniform, well-formed
+register (see lower_to_profile), and the result is the profile's register.
 """
 
 from __future__ import annotations
@@ -84,6 +87,8 @@ class GaloisProfile:
 
     def residual(self, i: int) -> Anf:
         """The intended residual of bit i; zero below the terminal bit."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"bit {i} out of range for n = {self.n}")
         if i < self.tau:
             return Anf.zero()
         return self.residuals[i - self.tau]
@@ -157,31 +162,6 @@ class GaloisProfile:
         return cls(n, tau, tuple(given.get(i, Anf.zero()) for i in range(tau, n)))
 
 
-def _apply_one(m: Nlfsr, move: ShiftMove) -> Nlfsr:
-    """One guarded hop.  Unchecked preconditions: m is uniform and well-formed,
-    the move spans one bit, and from_bit is not below m's terminal bit
-    (above it the residual is zero, so the term check refuses the move)."""
-    source = m.residual(move.from_bit)
-    if not move.terms.terms <= source.terms:
-        missing = min(move.terms.terms - source.terms)
-        raise ShiftRejected(
-            f"term {missing} is not present in the residual of bit {move.from_bit}"
-        )
-    fbs = list(m.feedbacks)
-    fbs[move.from_bit] = fbs[move.from_bit] ^ move.terms
-    fbs[move.to_bit] = fbs[move.to_bit] ^ move.terms.shifted_between(
-        move.from_bit, move.to_bit, m.n
-    )
-    result = Nlfsr(fbs)
-    violations = result.violations()
-    if violations:
-        raise ShiftRejected(
-            f"shifting {move.from_bit} -> {move.to_bit} breaks the register structure",
-            violations,
-        )
-    return result
-
-
 def apply_shift(m: Nlfsr, move: ShiftMove) -> Nlfsr:
     """Apply one shifting from the terminal bit, guarded on both sides.
 
@@ -205,8 +185,17 @@ def apply_shift(m: Nlfsr, move: ShiftMove) -> Nlfsr:
     current = m
     terms = move.terms
     for b in range(move.from_bit, move.to_bit, -1):
-        current = _apply_one(current, ShiftMove(b, b - 1, terms))
+        missing = terms.terms - current.residual(b).terms
+        if missing:
+            raise ShiftRejected(f"term {min(missing)} is not present in the residual of bit {b}")
+        fbs = list(current.feedbacks)
+        fbs[b] = fbs[b] ^ terms
         terms = terms.shifted_between(b, b - 1, m.n)
+        fbs[b - 1] = fbs[b - 1] ^ terms
+        current = Nlfsr(fbs)
+        violations = current.violations()
+        if violations:
+            raise ShiftRejected(f"shifting {b} -> {b - 1} breaks the register structure", violations)
     return current
 
 
@@ -214,15 +203,17 @@ def lower_to_profile(fib: Nlfsr, profile: GaloisProfile) -> tuple[Nlfsr, list[Sh
     """Lower a Fibonacci register to the requested Galois shape.
 
     Works top down: at each bit t from n-1 toward the terminal bit, the
-    profile's residual for t stays behind and the rest of the arriving
-    terms move on to bit t-1.  Returns the final register together with
-    the one-bit moves performed.
+    profile's residual r_t stays behind and T_{t+1} ^ r_t moves on to bit
+    t-1.  Returns profile.register() together with the nonzero one-bit
+    moves.
 
     The profile must telescope to the source: T_n must be the top
-    feedback's residual.  It is still unreachable when a term of T_t
-    shifted up one is missing from the T_{t+1} that arrives at bit t
-    (it cancelled against r_t); that hop raises ShiftRejected.  Every
-    hop leaves r_t behind, so a returned register is profile.register().
+    feedback's residual.  It is still unreachable when r_t is not part of
+    T_{t+1} (a moved term would have to cancel against it); the highest
+    such bit t raises ShiftRejected.  No hop needs a structure check:
+    after the hop from t, the bits above t-1 hold residuals that read
+    only x_0..x_tau (the top one never x_0), and bit t-1 holds T_t, which
+    reads only x_0..x_{t-1} and never its tap x_t.
     """
     if fib.n != profile.n:
         raise ValueError(f"register has {fib.n} bits, profile expects {profile.n}")
@@ -235,21 +226,18 @@ def lower_to_profile(fib: Nlfsr, profile: GaloisProfile) -> tuple[Nlfsr, list[Sh
             "profile is inconsistent with the register: the residuals do not "
             "telescope to the top feedback"
         )
-    current = fib
     moves: list[ShiftMove] = []
     for t in range(fib.n - 1, profile.tau, -1):
-        pending = telescopes[t - profile.tau] ^ profile.residual(t)
-        if pending.is_zero:
-            continue
-        move = ShiftMove(t, t - 1, pending)
-        try:
-            current = _apply_one(current, move)
-        except ShiftRejected as e:
+        arrived, kept = telescopes[t - profile.tau], profile.residual(t)
+        missing = kept.terms - arrived.terms
+        if missing:
             raise ShiftRejected(
-                f"profile is unreachable at bit {t}: {e}", e.violations
-            ) from None
-        moves.append(move)
-    return current, moves
+                f"profile is unreachable at bit {t}: "
+                f"term {min(missing)} is not present in the residual of bit {t}"
+            )
+        if arrived != kept:
+            moves.append(ShiftMove(t, t - 1, arrived ^ kept))
+    return profile.register(), moves
 
 
 def reconstruct_fibonacci(g: Nlfsr) -> Nlfsr:

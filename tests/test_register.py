@@ -221,6 +221,15 @@ class TestStructure:
         assert B.residual(1) == Anf.parse("x0")
         assert F.residual(1) == Anf.zero()
 
+    @pytest.mark.parametrize("bit", [-1, 4])
+    @pytest.mark.parametrize(
+        "residual", [B.residual, GaloisProfile.of_register(B).residual], ids=["register", "profile"]
+    )
+    def test_residual_outside_the_register_refused(self, residual, bit):
+        # -1 would index from the top and 4 would raise a bare IndexError
+        with pytest.raises(ValueError, match=rf"^bit {bit} out of range for n = 4$"):
+            residual(bit)
+
     def test_non_singular_residual(self):
         m = Nlfsr.parse("n = 3\nf2 = x0\nf1 = x2 + x1*x2\nf0 = x1")
         with pytest.raises(StructureError) as err:

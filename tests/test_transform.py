@@ -114,10 +114,17 @@ class TestLoweringRule:
         n, tau = profile.n, profile.tau
         tele = {i: shifted_residual_sum(profile, i) for i in range(tau + 1, n + 1)}
         fib = Nlfsr.fibonacci(n, Anf.var(0) ^ tele[n])
-        reachable = all(tele[t].shifted(1).terms <= tele[t + 1].terms for t in range(tau + 1, n))
-        if not reachable:
-            with pytest.raises(ShiftRejected):
+        unreachable = [
+            t for t in range(n - 1, tau, -1) if not tele[t].shifted(1).terms <= tele[t + 1].terms
+        ]
+        if unreachable:
+            t = unreachable[0]
+            term = min(tele[t].shifted(1).terms - tele[t + 1].terms)
+            with pytest.raises(ShiftRejected) as err:
                 lower_to_profile(fib, profile)
+            assert str(err.value) == (
+                f"profile is unreachable at bit {t}: term {term} is not present in the residual of bit {t}"
+            )
             return
         galois, moves = lower_to_profile(fib, profile)
         assert galois == profile.register()
@@ -126,6 +133,30 @@ class TestLoweringRule:
             for t in range(n - 1, tau, -1)
             if not tele[t].is_zero
         ]
+
+    def test_one_validation_and_one_register_per_lowering(self, monkeypatch):
+        # the rule decides the lowering, so the only structure check is the
+        # source's and the only register built is profile.register()
+        rng = random.Random(19)
+        draws = [random_lowering(rng, rng.randint(11, 14)) for _ in range(100)]
+        calls = {"violations": 0, "__init__": 0}
+
+        def spy(name):
+            original = getattr(Nlfsr, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(Nlfsr, name, counted)
+
+        spy("violations")
+        spy("__init__")
+        assert sum(len(moves) for *_, moves in draws) > 100
+        for fib, profile, galois, _ in draws:
+            calls.update(violations=0, __init__=0)
+            assert lower_to_profile(fib, profile)[0] == galois
+            assert calls == {"violations": 1, "__init__": 1}
 
 
 class TestGaloisProfile:
@@ -222,8 +253,11 @@ class TestLowering:
         # set would have to cancel against a parked residual
         fib = Nlfsr.fibonacci(4, Anf.parse("x0 + x1"))
         profile = GaloisProfile.parse("tau = 1\ng3 = x1\ng2 = x1\ng1 = x0", 4)
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError) as err:
             lower_to_profile(fib, profile)
+        assert str(err.value) == (
+            "profile is unreachable at bit 2: term x1 is not present in the residual of bit 2"
+        )
 
     def test_accepted_shifts_preserve_output_sets(self):
         # the constructive guard is backed by the exhaustive oracle
