@@ -2,10 +2,9 @@
 
 All generation is driven by an explicit random.Random so runs are
 reproducible from a seed.  Pairs are produced profile-first: a random
-legal profile determines its unique Fibonacci source, and the pair is
-kept only when the staged lowering actually reaches the profile (a
-pending term colliding with a parked residual makes a profile
-unreachable; such draws are resampled).
+legal profile fixes both its Fibonacci source and its Galois register,
+and the draw is kept only when the telescope rule (GaloisProfile.moves)
+says the profile is reachable; unreachable draws are resampled.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import random
 
 from .anf import Anf, Monomial
 from .register import Nlfsr
-from .transform import GaloisProfile, ShiftMove, ShiftRejected, lower_to_profile, reconstruct_fibonacci
+from .transform import GaloisProfile, ShiftMove, ShiftRejected
 
 
 def random_monomial(rng: random.Random, lowest: int, highest: int) -> Monomial:
@@ -37,6 +36,8 @@ def random_residual(rng: random.Random, tau: int, *, forbid_x0: bool = False) ->
 
 def random_profile(rng: random.Random, n: int) -> GaloisProfile:
     """A random legal profile with a genuinely Galois terminal bit."""
+    if n < 2:
+        raise ValueError(f"register needs at least 2 bits, got {n}")
     while True:
         tau = rng.randrange(0, n - 1)
         residuals = [random_residual(rng, tau, forbid_x0=(k == n - 1)) for k in range(tau, n)]
@@ -48,15 +49,14 @@ def random_profile(rng: random.Random, n: int) -> GaloisProfile:
 def random_lowering(rng: random.Random, n: int) -> tuple[Nlfsr, GaloisProfile, Nlfsr, list[ShiftMove]]:
     """A reachable (fibonacci, profile, galois, moves) quadruple.
 
-    The Fibonacci source is reconstructed from the profile's register, so
-    the pair is consistent by construction; unreachable profiles are
-    resampled.
+    Both registers are read off the profile, so the pair is consistent
+    by construction; profiles that GaloisProfile.moves finds unreachable
+    are resampled.
     """
     while True:
         profile = random_profile(rng, n)
-        fib = reconstruct_fibonacci(profile.register())
         try:
-            galois, moves = lower_to_profile(fib, profile)
+            moves = profile.moves()
         except ShiftRejected:
             continue
-        return fib, profile, galois, moves
+        return profile.fibonacci(), profile, profile.register(), moves

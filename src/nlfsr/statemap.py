@@ -41,6 +41,8 @@ class StateCorrection:
 
     def __post_init__(self):
         object.__setattr__(self, "polys", tuple(self.polys))
+        if type(self.n) is not int or type(self.tau) is not int:
+            raise ValueError(f"n and tau must be integers, got {self.n!r} and {self.tau!r}")
         if not 0 <= self.tau <= self.n - 1:
             raise ValueError(f"terminal bit {self.tau} out of range for n = {self.n}")
         if len(self.polys) != self.n - self.tau - 1:
@@ -49,6 +51,8 @@ class StateCorrection:
                 f"{self.tau + 1}..{self.n - 1}, got {len(self.polys)}"
             )
         for bit, p in enumerate(self.polys, self.tau + 1):
+            if not isinstance(p, Anf):
+                raise TypeError(f"correction of bit {bit} is not an Anf")
             high = max(p.support(), default=-1)
             if high >= bit:
                 raise ValueError(f"correction of bit {bit} reads x{high}, not only bits below it")
@@ -103,7 +107,7 @@ def build_correction(g: Nlfsr) -> StateCorrection:
     and ``invert`` maps back.
     """
     profile = GaloisProfile.of_register(g)
-    return StateCorrection(g.n, profile.tau, profile.telescopes()[:-1])
+    return StateCorrection(g.n, profile.tau, profile.telescopes[:-1])
 
 
 def shift_correction(move: ShiftMove, n: int) -> StateCorrection:

@@ -7,20 +7,18 @@ under guard conditions.  A move chosen by the caller can break them, so
 apply_shift alone checks every hop constructively; a failed guard raises
 with the exact structural violations instead of returning a wrong register.
 
-lower_to_profile drives a Fibonacci register down to a requested Galois
-shape through a chain of one-bit shiftings, and reconstruct_fibonacci
-recovers the unique Fibonacci register a uniform Galois register came
-from.  Both read the telescopes of a profile's residuals r_i: T_{tau+1} =
-r_tau and T_{i+1} = T_i shifted up one, XOR r_i.  The hop from bit t
-moves T_{t+1} ^ r_t, which is T_t shifted up one, to bit t - 1.  By this
-telescope rule a lowering succeeds exactly when r_t is part of T_{t+1} at
-every bit t above tau, every hop then leaves a uniform, well-formed
-register (see lower_to_profile), and the result is the profile's register.
+lower_to_profile and reconstruct_fibonacci read a GaloisProfile, which
+stores the telescopes of its residuals r_i once: T_{tau+1} = r_tau and
+T_{i+1} = T_i shifted up one, XOR r_i.  Its Fibonacci source has top
+feedback x0 ^ T_n, and the hop from bit t moves T_{t+1} ^ r_t (T_t
+shifted up one) to bit t - 1.  By this telescope rule (GaloisProfile.moves)
+a lowering succeeds exactly when r_t is part of T_{t+1} at every bit t
+above tau, and its result is the profile's register.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .anf import Anf, ParseError, digits_value, is_ascii_digits
 from .register import Nlfsr, StructureError, assignments, require_well_formed
@@ -39,6 +37,10 @@ class ShiftMove:
     terms: Anf
 
     def __post_init__(self):
+        if type(self.from_bit) is not int or type(self.to_bit) is not int:
+            raise ValueError(f"shifting bits must be integers, got {self.from_bit!r} -> {self.to_bit!r}")
+        if not isinstance(self.terms, Anf):
+            raise TypeError("shifted terms are not an Anf")
         if self.to_bit < 0 or self.from_bit <= self.to_bit:
             raise ValueError(
                 f"shifting must move terms to a lower bit, got {self.from_bit} -> {self.to_bit}"
@@ -65,14 +67,22 @@ class GaloisProfile:
     residuals[k] is the intended residual of bit tau + k, for bits tau
     through n - 1; each may read only variables x_0..x_tau, and the top
     one may not read x_0 (it would collide with the top bit's wrap tap).
+
+    telescopes holds T_{tau+1}, ..., T_n: T_i is the XOR of the residuals
+    of bits tau..i-1, each shifted up to sit just under bit i.  For
+    tau < i < n, T_i is the state correction of bit i; T_n is the
+    residual of the top feedback of fibonacci().
     """
 
     n: int
     tau: int
     residuals: tuple[Anf, ...]
+    telescopes: tuple[Anf, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "residuals", tuple(self.residuals))
+        if type(self.n) is not int or type(self.tau) is not int:
+            raise ValueError(f"n and tau must be integers, got {self.n!r} and {self.tau!r}")
         if not 0 <= self.tau <= self.n - 1:
             raise ValueError(f"terminal bit {self.tau} out of range for n = {self.n}")
         if len(self.residuals) != self.n - self.tau:
@@ -81,9 +91,15 @@ class GaloisProfile:
                 f"got {len(self.residuals)}"
             )
         for k, g in zip(range(self.tau, self.n), self.residuals):
+            if not isinstance(g, Anf):
+                raise TypeError(f"residual {k} is not an Anf")
             fault = _residual_fault(self.n, self.tau, k, g)
             if fault:
                 raise ValueError(fault)
+        telescopes = [self.residuals[0]]
+        for r in self.residuals[1:]:
+            telescopes.append(telescopes[-1].shifted(1) ^ r)
+        object.__setattr__(self, "telescopes", tuple(telescopes))
 
     def residual(self, i: int) -> Anf:
         """The intended residual of bit i; zero below the terminal bit."""
@@ -93,17 +109,33 @@ class GaloisProfile:
             return Anf.zero()
         return self.residuals[i - self.tau]
 
-    def telescopes(self) -> tuple[Anf, ...]:
-        """T_{tau+1}, ..., T_n: T_i is the XOR of the residuals of bits tau..i-1,
-        each shifted up to sit just under bit i.
+    def moves(self) -> list[ShiftMove]:
+        """The nonzero one-bit moves that lower fibonacci() to this profile.
 
-        For tau < i < n, T_i is the state correction of bit i; T_n is the
-        residual of the Fibonacci top feedback the profile lowers from.
+        At each bit t from n-1 down to tau+1, r_t stays behind and
+        T_{t+1} ^ r_t moves on to bit t-1.  The highest bit t where r_t is
+        not part of T_{t+1} (a moved term would have to cancel against it)
+        raises ShiftRejected.  No hop needs a structure check: after the
+        hop from t, the bits above t-1 hold residuals that read only
+        x_0..x_tau (the top one never x_0), and bit t-1 holds T_t, which
+        reads only x_0..x_{t-1} and never its tap x_t.
         """
-        out = [self.residuals[0]]
-        for r in self.residuals[1:]:
-            out.append(out[-1].shifted(1) ^ r)
-        return tuple(out)
+        moves: list[ShiftMove] = []
+        for t in range(self.n - 1, self.tau, -1):
+            arrived, kept = self.telescopes[t - self.tau], self.residual(t)
+            missing = kept.terms - arrived.terms
+            if missing:
+                raise ShiftRejected(
+                    f"profile is unreachable at bit {t}: "
+                    f"term {min(missing)} is not present in the residual of bit {t}"
+                )
+            if arrived != kept:
+                moves.append(ShiftMove(t, t - 1, arrived ^ kept))
+        return moves
+
+    def fibonacci(self) -> Nlfsr:
+        """The Fibonacci register this profile lowers from: top feedback x0 ^ T_n."""
+        return Nlfsr.fibonacci(self.n, Anf.var(0) ^ self.telescopes[-1])
 
     def register(self) -> Nlfsr:
         """The register this profile describes."""
@@ -202,42 +234,20 @@ def apply_shift(m: Nlfsr, move: ShiftMove) -> Nlfsr:
 def lower_to_profile(fib: Nlfsr, profile: GaloisProfile) -> tuple[Nlfsr, list[ShiftMove]]:
     """Lower a Fibonacci register to the requested Galois shape.
 
-    Works top down: at each bit t from n-1 toward the terminal bit, the
-    profile's residual r_t stays behind and T_{t+1} ^ r_t moves on to bit
-    t-1.  Returns profile.register() together with the nonzero one-bit
-    moves.
-
     The profile must telescope to the source: T_n must be the top
-    feedback's residual.  It is still unreachable when r_t is not part of
-    T_{t+1} (a moved term would have to cancel against it); the highest
-    such bit t raises ShiftRejected.  No hop needs a structure check:
-    after the hop from t, the bits above t-1 hold residuals that read
-    only x_0..x_tau (the top one never x_0), and bit t-1 holds T_t, which
-    reads only x_0..x_{t-1} and never its tap x_t.
+    feedback's residual.  Returns profile.register() and profile.moves().
     """
     if fib.n != profile.n:
         raise ValueError(f"register has {fib.n} bits, profile expects {profile.n}")
     require_well_formed(fib)
     if not fib.is_fibonacci():
         raise StructureError("lowering starts from a Fibonacci register")
-    telescopes = profile.telescopes()
-    if telescopes[-1] != fib.residual(fib.n - 1):
+    if profile.telescopes[-1] != fib.residual(fib.n - 1):
         raise StructureError(
             "profile is inconsistent with the register: the residuals do not "
             "telescope to the top feedback"
         )
-    moves: list[ShiftMove] = []
-    for t in range(fib.n - 1, profile.tau, -1):
-        arrived, kept = telescopes[t - profile.tau], profile.residual(t)
-        missing = kept.terms - arrived.terms
-        if missing:
-            raise ShiftRejected(
-                f"profile is unreachable at bit {t}: "
-                f"term {min(missing)} is not present in the residual of bit {t}"
-            )
-        if arrived != kept:
-            moves.append(ShiftMove(t, t - 1, arrived ^ kept))
-    return profile.register(), moves
+    return profile.register(), profile.moves()
 
 
 def reconstruct_fibonacci(g: Nlfsr) -> Nlfsr:
@@ -247,4 +257,4 @@ def reconstruct_fibonacci(g: Nlfsr) -> Nlfsr:
     top feedback; lowering the result back through the register's own
     profile returns g.
     """
-    return Nlfsr.fibonacci(g.n, Anf.var(0) ^ GaloisProfile.of_register(g).telescopes()[-1])
+    return GaloisProfile.of_register(g).fibonacci()

@@ -137,6 +137,15 @@ class TestBuildCorrection:
         with pytest.raises(ValueError, match=re.escape(message)):
             StateCorrection(4, tau, [Anf.parse(p) for p in polys])
 
+    @pytest.mark.parametrize("n, tau", [(4, True), (4, 2.0), (4.0, 2), (True, 0)])
+    def test_non_int_sizes_rejected(self, n, tau):
+        with pytest.raises(ValueError, match="must be integers"):
+            StateCorrection(n, tau, [])
+
+    def test_non_anf_polynomial_rejected(self):
+        with pytest.raises(TypeError, match="correction of bit 3 is not an Anf"):
+            StateCorrection(4, 2, ["x0"])
+
     def test_non_uniform_rejected(self):
         m = Nlfsr.parse("n = 4\nf3 = x0 + x1\nf2 = x3 + x2*x0\nf1 = x2 + x0\nf0 = x1")
         with pytest.raises(StructureError):

@@ -31,6 +31,15 @@ class TestShiftMove:
         with pytest.raises(ValueError):
             ShiftMove(0, -1, Anf.parse("x1"))
 
+    @pytest.mark.parametrize("from_bit, to_bit", [(2, True), (True, False), (2.0, 1), (2, 1.0)])
+    def test_non_int_bits_rejected(self, from_bit, to_bit):
+        with pytest.raises(ValueError, match="shifting bits must be integers"):
+            ShiftMove(from_bit, to_bit, Anf.parse("x1"))
+
+    def test_non_anf_terms_rejected(self):
+        with pytest.raises(TypeError, match="shifted terms are not an Anf"):
+            ShiftMove(2, 1, "x1")
+
 
 class TestApplyShift:
     def test_published_single_shift(self):
@@ -110,25 +119,28 @@ class TestLoweringRule:
     def test_returns_exactly_when_every_hop_finds_its_terms(self, profile):
         # the hop from bit t moves T_t shifted up one out of the T_{t+1}
         # that arrived at bit t; the lowering succeeds exactly when each
-        # such set is present there, and then builds the profile's register
+        # such set is present there, and then builds the profile's register.
+        # profile.moves() alone decides the same from the profile.
         n, tau = profile.n, profile.tau
         tele = {i: shifted_residual_sum(profile, i) for i in range(tau + 1, n + 1)}
         fib = Nlfsr.fibonacci(n, Anf.var(0) ^ tele[n])
+        assert profile.fibonacci() == fib
         unreachable = [
             t for t in range(n - 1, tau, -1) if not tele[t].shifted(1).terms <= tele[t + 1].terms
         ]
         if unreachable:
             t = unreachable[0]
             term = min(tele[t].shifted(1).terms - tele[t + 1].terms)
-            with pytest.raises(ShiftRejected) as err:
-                lower_to_profile(fib, profile)
-            assert str(err.value) == (
-                f"profile is unreachable at bit {t}: term {term} is not present in the residual of bit {t}"
-            )
+            for lower in (lambda: lower_to_profile(fib, profile), profile.moves):
+                with pytest.raises(ShiftRejected) as err:
+                    lower()
+                assert str(err.value) == (
+                    f"profile is unreachable at bit {t}: term {term} is not present in the residual of bit {t}"
+                )
             return
         galois, moves = lower_to_profile(fib, profile)
         assert galois == profile.register()
-        assert moves == [
+        assert moves == profile.moves() == [
             ShiftMove(t, t - 1, tele[t].shifted(1))
             for t in range(n - 1, tau, -1)
             if not tele[t].is_zero
@@ -158,6 +170,27 @@ class TestLoweringRule:
             assert lower_to_profile(fib, profile)[0] == galois
             assert calls == {"violations": 1, "__init__": 1}
 
+    def test_draws_build_two_registers_and_validate_nothing(self, monkeypatch):
+        # the profile decides reachability, so a kept draw builds only the
+        # two registers it returns and a rejected draw builds none
+        calls = {"violations": 0, "__init__": 0}
+
+        def spy(name):
+            original = getattr(Nlfsr, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(Nlfsr, name, counted)
+
+        spy("violations")
+        spy("__init__")
+        rng = random.Random(19)
+        for _ in range(100):
+            random_lowering(rng, rng.randint(11, 14))
+        assert calls == {"violations": 0, "__init__": 200}
+
 
 class TestGaloisProfile:
     def test_residual_window_enforced(self):
@@ -167,6 +200,20 @@ class TestGaloisProfile:
     def test_top_residual_may_not_read_x0(self):
         with pytest.raises(ValueError):
             GaloisProfile(4, 1, (Anf.parse("x1"), Anf.zero(), Anf.parse("x0")))
+
+    @pytest.mark.parametrize("n, tau", [(4, True), (4, 1.0), (4.0, 1), (True, 0)])
+    def test_non_int_sizes_rejected(self, n, tau):
+        with pytest.raises(ValueError, match="must be integers"):
+            GaloisProfile(n, tau, (Anf.parse("x0"),) * 3)
+
+    def test_non_anf_residual_rejected(self):
+        with pytest.raises(TypeError, match="residual 2 is not an Anf"):
+            GaloisProfile(4, 1, (Anf.parse("x1"), "x0", Anf.zero()))
+
+    def test_telescopes_stay_out_of_repr(self):
+        # they are derived from the residuals, so repr shows only the fields given
+        p = GaloisProfile.parse("tau = 1\ng3 = x1\ng2 = x0*x1\ng1 = x0", 4)
+        assert repr(p) == f"GaloisProfile(n=4, tau=1, residuals={p.residuals!r})"
 
     def test_residuals_cannot_be_edited_past_the_checks(self):
         residuals = [Anf.parse("x1"), Anf.zero(), Anf.zero()]
@@ -298,6 +345,13 @@ class TestReconstruction:
 
 
 class TestRandomProfiles:
+    @pytest.mark.parametrize("draw", [random_profile, random_lowering])
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_too_few_bits_refused(self, draw, n):
+        with pytest.raises(ValueError) as err:
+            draw(random.Random(0), n)
+        assert str(err.value) == f"register needs at least 2 bits, got {n}"
+
     def test_profiles_are_legal_by_construction(self):
         rng = random.Random(17)
         for _ in range(50):
