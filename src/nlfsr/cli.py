@@ -6,12 +6,15 @@ documented in ``Nlfsr.parse`` and ``GaloisProfile.parse``; states on the
 command line are bit strings with the highest index first (``0001``
 means bit 0 holds 1).  Exit codes: 0 success (and equivalent), 1
 not-equivalent, 2 any error, 141 stdout closed before the output ended.
-All commands are deterministic given their files and flags.
+All commands are deterministic given their files and flags.  ``main``
+builds its argument parser once per process, on its first call, so
+repeated in-process calls skip argparse's setup.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from itertools import islice
@@ -182,8 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args never changes the parser and gives each call a new namespace,
+# so one parser serves every call; build_parser still returns a fresh one
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

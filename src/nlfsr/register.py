@@ -395,8 +395,10 @@ def transpose(columns: Sequence[int], n: int) -> memoryview:
 def successor_table(m: Nlfsr) -> memoryview:
     """Entry x is the packed successor of packed state x, over all 2^n states.
 
-    Every whole-state-space scan but the equivalence oracle starts from
-    this table, the one-step case of ``walk_columns``.  It is a read-only
+    This table, the one-step case of ``walk_columns``, starts every
+    whole-state-space scan but three oracles, which read the output
+    windows of ``verify._windows`` instead: the equivalence oracle,
+    ``output_classes`` and ``brute_force_match``.  It is a read-only
     view of one 4-byte lane per state, and its ``tolist()`` equals
     ``[m.step_packed(x) for x in range(1 << m.n)]``.
     """

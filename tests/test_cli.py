@@ -1,13 +1,17 @@
 import io
+import json
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from nlfsr import samples
-from nlfsr.cli import main
+from nlfsr.anf import Anf
+from nlfsr.cli import _parser, build_parser, main
 from nlfsr.register import Nlfsr
 from strategies import COUNTERS
 
@@ -50,8 +54,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("extra, steps", [((), 100_000), (("--states",), 20_000)])
     def test_output_streams_in_bounded_memory(self, regs, monkeypatch, extra, steps):
-        # a list of the bits or states would take over 800 KB; argument
-        # parsing and one chunk of bits take under 300 KB
+        # a list of the bits or states would take over 800 KB; the parser,
+        # if this call builds it, and one chunk of bits take under 300 KB
         class Sink(io.TextIOBase):
             def write(self, text):
                 return len(text)
@@ -223,6 +227,22 @@ class TestVerify:
             f"not-equivalent\nwitness: state 0000000 of {paths[0]} has no output match\n"
         )
 
+    def test_registers_of_different_sizes_exit_2(self, regs, tmp_path, capsys):
+        five = tmp_path / "five.reg"
+        five.write_text(str(Nlfsr.fibonacci(5, Anf.parse("x0"))) + "\n")
+        assert main(["verify", regs["a"], str(five)]) == 2
+        assert capsys.readouterr().err == "error: registers have different sizes 4 and 5\n"
+
+    @pytest.mark.parametrize("command", ["verify", "period"])
+    def test_registers_past_the_scan_limit_exit_2(self, tmp_path, capsys, command):
+        wide = tmp_path / "wide.reg"
+        wide.write_text(str(Nlfsr.fibonacci(21, Anf.parse("x0"))) + "\n")
+        argv = [command, str(wide), str(wide)] if command == "verify" else [command, str(wide)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: register has 21 bits, exhaustive scans are capped at 20\n"
+
 
 class TestPeriod:
     def test_number(self, regs, capsys):
@@ -250,3 +270,100 @@ class TestDemo:
         )
         assert proc.returncode == 0
         assert proc.stdout == (DATA / "demo_table.txt").read_text()
+
+
+# Counts the top-level parsers a fresh process builds: after importing
+# nlfsr.cli, then after one main call per argv read from stdin.
+COUNT_PARSERS = """
+import argparse, contextlib, io, json, sys
+
+built = 0
+init = argparse.ArgumentParser.__init__
+
+def spy(self, *args, **kwargs):
+    global built
+    init(self, *args, **kwargs)
+    built += self.prog == "nlfsr"
+
+argparse.ArgumentParser.__init__ = spy
+from nlfsr.cli import main
+
+after_import = built
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in json.load(sys.stdin)]
+print(json.dumps([after_import, built, codes]))
+"""
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        reg = "demos/registers/"
+        calls = [
+            (["simulate", reg + "galois_a.reg", "--init", "0001", "--steps", "15"], 0),
+            (["simulate", reg + "galois_b.reg", "--init", "0101", "--steps", "3", "--states"], 0),
+            (["simulate", reg + "galois_a.reg", "--init", "0001", "--steps", "-1"], 2),
+            (["transform", reg + "galois_a.reg", "--move", "2,1,x1"], 0),
+            (["transform", reg + "fibonacci.reg", "--profile", reg + "galois_b.prof"], 0),
+            (["map-state", reg + "galois_b.reg", "--init", "0001", "--direction", "fib2gal"], 0),
+            (["verify", reg + "galois_a.reg", reg + "fibonacci.reg"], 0),
+            (["verify", reg + "fibonacci.reg", reg + "rotation.reg"], 1),
+            (["period", reg + "galois_a.reg", "--census"], 0),
+            (["demo"], 0),
+        ] * 5
+        proc = subprocess.run(
+            [sys.executable, "-c", COUNT_PARSERS],
+            input=json.dumps([argv for argv, _ in calls]),
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, 1, [code for _, code in calls]]
+
+    def test_no_state_carries_between_calls(self, regs, capsys):
+        assert main(["period", regs["a"], "--census"]) == 0
+        assert main(["period", regs["a"]]) == 0
+        assert capsys.readouterr().out == "15: 15, 1: 1\n15\n"
+        assert main(["simulate", regs["a"], "--init", "0001", "--steps", "3", "--states"]) == 0
+        assert main(["simulate", regs["a"], "--init", "0001", "--steps", "3"]) == 0
+        assert capsys.readouterr().out == "0001\n1000\n0100\n100\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", regs["a"], "--init", "0001", "--steps", "3x"])
+        assert exc.value.code == 2
+        assert main(["verify", regs["a"], regs["f"]]) == 0
+        assert capsys.readouterr().out == "equivalent\n"
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_shared_parser_under_threads(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a parse that left anything in the shared parser would
+        # show in another thread's namespace
+        argvs = []
+        for k in range(8):
+            reg, odd = f"r{k}.reg", k % 2
+            argvs.append(["period", reg] + ["--census"] * odd)
+            argvs.append(["simulate", reg, "--init", "0001", "--steps", str(k)] + ["--states"] * odd)
+        expected = [build_parser().parse_args(argv) for argv in argvs]
+        _parser()  # built before the threads start, so that they all share it
+        start = threading.Barrier(len(argvs))
+
+        def parse_many(argv):
+            start.wait(timeout=60)
+            return [_parser().parse_args(argv) for _ in range(300)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(argvs)) as pool:
+                results = list(pool.map(parse_many, argvs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == len(argvs)
+        for argv, want, got in zip(argvs, expected, results):
+            assert got == [want] * 300, argv
