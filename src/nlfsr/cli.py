@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("register_b", help="second register file")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("period", help="longest output cycle over all initial states")
+    p = sub.add_parser("period", help="longest state cycle over all initial states")
     p.add_argument("register", help="register file")
     p.add_argument("--census", action="store_true", help="print all cycle lengths with state counts")
     p.set_defaults(func=_cmd_period)

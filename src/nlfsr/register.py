@@ -369,26 +369,47 @@ def walk_columns(m: Nlfsr, steps: int) -> tuple[list[int], list[int]]:
     return outputs, state
 
 
+#: The three delta swaps that transpose each 64-bit word as an 8x8 bit
+#: matrix: a shift and its mask's repeating little-endian byte pattern.
+_DELTA_SWAPS = (
+    (7, b"\xaa\x00"),  # 0x00AA00AA00AA00AA
+    (14, b"\xcc\xcc\x00\x00"),  # 0x0000CCCC0000CCCC
+    (28, b"\xf0\xf0\xf0\xf0\x00\x00\x00\x00"),  # 0x00000000F0F0F0F0
+)
+
+
 def transpose(columns: Sequence[int], n: int) -> memoryview:
     """Lane x packs bit x of every 2^n-bit column, column i into bit i.
 
-    The columns are spread eight at a time into one byte of a 4-byte
-    native-order lane per state, which holds the n + 1 <= 21 columns the
-    library passes.  The lanes come back as a memoryview of unsigned
-    ints, so that the columns can be freed before ``tolist()`` reads them
-    out.
+    Each group of eight columns becomes one byte of a 4-byte native-order
+    lane per state, which holds the n + 1 <= 21 columns the library
+    passes.  The group's column bytes are interleaved, so that 64-bit
+    word w of the interleaved int holds byte w of each column, one column
+    per row of an 8x8 bit matrix.  Three delta swaps on the whole int
+    transpose every word at once (Warren, *Hacker's Delight*, section
+    7-3), after which byte x holds bit x of the eight columns, and the
+    bytes are written as one byte plane of the lanes.  Below n = 3 the
+    states are padded to one whole byte and the plane is cut back to 2^n
+    entries.  Each mask is built when its swap needs it, so that peak
+    memory stays near that of the columns and lanes.  The lanes come back
+    as a memoryview of unsigned ints, so that the columns can be freed
+    before ``tolist()`` reads them out.
     """
     size = 1 << n
-    low_bits = int.from_bytes(b"\x01" * size, "little")  # 0x0101...01, one 1 per state
+    padded = max(size, 8)
     lanes = bytearray(4 * size)
     for j in range(0, len(columns), 8):
-        group = 0  # byte x holds bits j..j+7 of lane x
-        for i in range(j, min(j + 8, len(columns))):
-            # one ASCII digit per state, state 0 last: bit x lands in the low bit of byte x
-            spread = int.from_bytes(format(columns[i], f"0{size}b").encode(), "big")
-            group |= (spread & low_bits) << (i - j)
+        words = bytearray(padded)  # byte 8w + k is byte w of column j + k
+        for k, column in enumerate(columns[j : j + 8]):
+            words[k::8] = column.to_bytes(padded // 8, "little")
+        x = int.from_bytes(words, "little")
+        del words
+        for shift, pattern in _DELTA_SWAPS:
+            t = (x ^ (x >> shift)) & int.from_bytes(pattern * (padded // len(pattern)), "little")
+            x ^= t ^ (t << shift)
+        del t
         byte = j // 8 if sys.byteorder == "little" else 3 - j // 8
-        lanes[byte::4] = group.to_bytes(size, "little")
+        lanes[byte::4] = x.to_bytes(padded, "little")[:size]
     return memoryview(lanes).cast("I")
 
 

@@ -257,6 +257,17 @@ class TestPeriod:
         assert main(["period", regs["rot"]]) == 0
         assert capsys.readouterr().out == "4\n"
 
+    def test_longest_state_cycle_not_output_period(self, tmp_path, capsys):
+        text = "n = 3\nf2 = x0 + x1\nf1 = x0*x1 + x2\nf0 = x0\n"
+        p = tmp_path / "constant.reg"
+        p.write_text(text)
+        m = Nlfsr.parse(text)
+        for x in range(8):  # every output stream is constant, so has period 1
+            init = tuple((x >> i) & 1 for i in range(3))
+            assert len(set(m.output_sequence(init, 12))) == 1
+        assert main(["period", str(p)]) == 0
+        assert capsys.readouterr().out == "3\n"
+
 
 class TestDemo:
     def test_matches_golden_table(self, capsys):

@@ -1,7 +1,9 @@
 import io
 import random
 import re
+import sys
 import time
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -515,6 +517,44 @@ class TestWalk:
         outputs, state = walk_columns(m, 1)
         assert transpose(outputs, 9).tolist() == [x & 1 for x in range(1 << 9)]
         assert transpose(state, 9).tolist() == successor_table(m).tolist()
+
+
+def transposed(columns: list[int], x: int) -> int:
+    """Lane x of ``transpose``, one bit at a time: the per-bit reference."""
+    return sum(((c >> x) & 1) << i for i, c in enumerate(columns))
+
+
+class TestTranspose:
+    """The byte-parallel kernel against the per-bit reference."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equals_per_bit_reference(self, n):
+        # n = 2 pads the states to one byte; these counts start or end a lane byte
+        rng, ones = random.Random(n), (1 << (1 << n)) - 1
+        for count in (1, 7, 8, 9, 16, 17, 21):
+            randoms = [rng.getrandbits(1 << n) for _ in range(count)]
+            for columns in (randoms, [0] * count, [ones] * count):
+                lanes = transpose(columns, n).tolist()
+                assert lanes == [transposed(columns, x) for x in range(1 << n)]
+
+    def test_largest_size_samples(self):
+        # 21 columns reach the third lane byte at the scan limit
+        rng = random.Random(20)
+        columns = [rng.getrandbits(1 << 20) for _ in range(21)]
+        lanes = transpose(columns, 20)
+        assert len(lanes) == 1 << 20
+        for x in rng.sample(range(1 << 20), 256):
+            assert lanes[x] == transposed(columns, x)
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_big_endian_lanes(self, n, monkeypatch):
+        rng = random.Random(n)
+        columns = [rng.getrandbits(1 << n) for _ in range(21)]
+        expected = array("I", [transposed(columns, x) for x in range(1 << n)])
+        monkeypatch.setattr(sys, "byteorder", "big")
+        raw = transpose(columns, n).tobytes()
+        expected.byteswap()
+        assert raw == expected.tobytes()
 
 
 # Characters a mutation may insert: the grammar's own, plus some it refuses.
