@@ -200,8 +200,8 @@ class Nlfsr:
         """The first ``steps`` packed states, starting with the given state
         itself, made one at a time as they are read."""
         check_state(state, self.n)
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
+        if type(steps) is not int or steps < 0:
+            raise ValueError(f"steps must be non-negative and of type int, got {steps!r}")
 
         def states(x: int) -> Iterator[int]:
             for _ in range(steps):

@@ -4,8 +4,10 @@ A shifting takes a set of product-terms out of the feedback of one bit
 and XORs it, with indices renumbered by (k - from + to) mod n, into the
 feedback of a lower bit.  It preserves the set of output sequences only
 under guard conditions.  A move chosen by the caller can break them, so
-apply_shift alone checks every hop constructively; a failed guard raises
-with the exact structural violations instead of returning a wrong register.
+apply_shift checks the one register a move produces and raises with its
+exact structural violations.  That equals checking each one-bit hop: the
+hops' registers share its residuals above their terminal bits, and a
+moved term wraps below x0 at some hop exactly when it wraps in it.
 
 lower_to_profile and reconstruct_fibonacci read a GaloisProfile, which
 stores the telescopes of its residuals r_i once: T_{tau+1} = r_tau and
@@ -197,11 +199,16 @@ class GaloisProfile:
 def apply_shift(m: Nlfsr, move: ShiftMove) -> Nlfsr:
     """Apply one shifting from the terminal bit, guarded on both sides.
 
-    The source register must be uniform and well-formed and the moved
-    terms must come from the terminal bit's residual.  A move across
-    several bits runs as a chain of one-bit hops, each of which must
-    leave a uniform, well-formed register; any failure raises
-    ShiftRejected with the violations and produces no register.
+    The source must be uniform and well-formed, the moved terms S must
+    come from the residual of the terminal bit tau, and the one register
+    built must be uniform and well-formed; a failure raises ShiftRejected
+    with the violations.  That one check equals checking every one-bit
+    hop: after the hop from bit b the residuals above bit b - 1 are the
+    result's, which must read at or below to_bit <= b - 1, and a term of
+    S wraps below x0 at some hop exactly when it wraps in the result,
+    where it lands above to_bit and never on its tap x_{to_bit+1}, as the
+    source's top residual cannot read x0.  Below tau every residual is
+    zero, so each hop's terms are all of its bit's residual.
     """
     try:
         require_well_formed(m)
@@ -214,21 +221,17 @@ def apply_shift(m: Nlfsr, move: ShiftMove) -> Nlfsr:
         )
     if move.terms.is_zero:
         return m
-    current = m
-    terms = move.terms
-    for b in range(move.from_bit, move.to_bit, -1):
-        missing = terms.terms - current.residual(b).terms
-        if missing:
-            raise ShiftRejected(f"term {min(missing)} is not present in the residual of bit {b}")
-        fbs = list(current.feedbacks)
-        fbs[b] = fbs[b] ^ terms
-        terms = terms.shifted_between(b, b - 1, m.n)
-        fbs[b - 1] = fbs[b - 1] ^ terms
-        current = Nlfsr(fbs)
-        violations = current.violations()
-        if violations:
-            raise ShiftRejected(f"shifting {b} -> {b - 1} breaks the register structure", violations)
-    return current
+    missing = move.terms.terms - m.residual(tau).terms
+    if missing:
+        raise ShiftRejected(f"term {min(missing)} is not present in the residual of bit {tau}")
+    fbs = list(m.feedbacks)
+    fbs[tau] ^= move.terms
+    fbs[move.to_bit] ^= move.terms.shifted_between(tau, move.to_bit, m.n)
+    result = Nlfsr(fbs)
+    violations = result.violations()
+    if violations:
+        raise ShiftRejected(f"shifting {tau} -> {move.to_bit} breaks the register structure", violations)
+    return result
 
 
 def lower_to_profile(fib: Nlfsr, profile: GaloisProfile) -> tuple[Nlfsr, list[ShiftMove]]:

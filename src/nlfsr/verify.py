@@ -18,7 +18,7 @@ states can be partitioned freely and merged by min/union/sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping, Sequence
@@ -191,7 +191,7 @@ class PeriodCensus:
     """
 
     n: int
-    cycles: Mapping[int, int]
+    cycles: Mapping[int, int] = field(hash=False)
     tail_states: int
 
     def __post_init__(self):

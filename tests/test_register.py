@@ -202,6 +202,15 @@ class TestSequences:
         states = F.state_sequence(s, 20)
         assert F.output_sequence(s, 20) == [st[0] for st in states]
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, False, "3", None])
+    def test_non_int_steps_refused_on_call(self, steps):
+        # refused when run is called, not when its states are first read
+        s = parse_state("0001")
+        with pytest.raises(ValueError, match="steps must be non-negative and of type int"):
+            A.run(s, steps)
+        with pytest.raises(ValueError, match="steps must be non-negative and of type int"):
+            A.output_sequence(s, steps)
+
 
 class TestStructure:
     def test_terminal_bits(self):

@@ -2,10 +2,10 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from nlfsr import samples
-from nlfsr.anf import Anf
+from nlfsr.anf import Anf, Monomial
 from nlfsr.generate import random_lowering, random_profile
 from nlfsr.register import Nlfsr, StructureError
 from nlfsr.transform import (
@@ -103,6 +103,64 @@ class TestApplyShift:
             apply_shift(m, ShiftMove(4, 1, Anf.parse("x1*x2*x4")))
         kinds = {v.kind for v in err.value.violations}
         assert "reads-outside-window" in kinds
+
+    @settings(max_examples=300)
+    @given(profiles(max_n=9), st.booleans(), st.data())
+    def test_equals_the_chain_of_one_bit_hops(self, profile, fibonacci, data):
+        # a move across several bits is accepted exactly when the chain of
+        # its one-bit hops is, and then yields the same register
+        m = profile.fibonacci() if fibonacci else profile.register()
+        tau = m.terminal_bit()
+        assume(tau > 0)
+        residual = sorted(m.residual(tau).terms)
+        kept = data.draw(st.lists(st.booleans(), min_size=len(residual), max_size=len(residual)))
+        terms = {t for t, keep in zip(residual, kept) if keep}
+        if data.draw(st.booleans()):
+            terms.add(data.draw(st.frozensets(st.integers(0, m.n - 1), max_size=3).map(Monomial)))
+        assume(terms)
+        move = ShiftMove(tau, data.draw(st.integers(0, tau - 1)), Anf(terms))
+
+        def outcome(shift):
+            try:
+                return shift()
+            except ShiftRejected:
+                return None
+
+        def hop_chain():
+            current, moved = m, move.terms
+            for b in range(move.from_bit, move.to_bit, -1):
+                current = apply_shift(current, ShiftMove(b, b - 1, moved))
+                moved = moved.shifted_between(b, b - 1, m.n)
+            return current
+
+        assert outcome(lambda: apply_shift(m, move)) == outcome(hop_chain)
+
+    def test_one_build_and_two_checks_per_move(self, monkeypatch):
+        # the source and the produced register are checked, whatever the
+        # move's length; a zero-term move builds nothing
+        fib = Nlfsr.fibonacci(64, Anf.parse("x0 + x60*x63"))
+        moves = ShiftMove(63, 3, Anf.parse("x60*x63")), ShiftMove(63, 3, Anf.zero())
+        fbs = list(Nlfsr.fibonacci(64, Anf.var(0)).feedbacks)
+        fbs[3] = Anf.parse("x4 + x0*x3")
+        expected = Nlfsr(fbs)
+        calls = {"violations": 0, "__init__": 0}
+
+        def spy(name):
+            original = getattr(Nlfsr, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(Nlfsr, name, counted)
+
+        spy("violations")
+        spy("__init__")
+        assert apply_shift(fib, moves[0]) == expected
+        assert calls == {"violations": 2, "__init__": 1}
+        calls.update(violations=0, __init__=0)
+        assert apply_shift(fib, moves[1]) is fib
+        assert calls == {"violations": 1, "__init__": 0}
 
 
 def shifted_residual_sum(profile: GaloisProfile, i: int) -> Anf:

@@ -409,6 +409,13 @@ class TestPeriodCensus:
         cycles[99] = 1
         assert census.total == 16
 
+    def test_equal_censuses_hash_equal(self):
+        censuses = [period_census(m) for m in (A, B, F)]
+        assert censuses[0] == censuses[1] == censuses[2]
+        assert len(set(censuses)) == 1
+        # cycles takes no part in the hash but still in equality
+        assert PeriodCensus(4, {15: 15, 1: 1}, 0) != PeriodCensus(4, {8: 16}, 0)
+
 
 # Every whole-state-space entry point, called on a register above
 # EXHAUSTIVE_LIMIT.  Each must refuse before it steps a single state.
