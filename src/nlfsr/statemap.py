@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .anf import Anf
 from .register import Nlfsr, State, check_state
-from .transform import GaloisProfile, ShiftMove
+from .transform import GaloisProfile, ShiftMove, check_terminal_bit
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,7 @@ class StateCorrection:
 
     def __post_init__(self):
         object.__setattr__(self, "polys", tuple(self.polys))
-        if type(self.n) is not int or type(self.tau) is not int:
-            raise ValueError(f"n and tau must be integers, got {self.n!r} and {self.tau!r}")
-        if not 0 <= self.tau <= self.n - 1:
-            raise ValueError(f"terminal bit {self.tau} out of range for n = {self.n}")
+        check_terminal_bit(self.n, self.tau)
         if len(self.polys) != self.n - self.tau - 1:
             raise ValueError(
                 f"expected {self.n - self.tau - 1} correction polynomials for bits "

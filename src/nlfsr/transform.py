@@ -52,6 +52,14 @@ class ShiftMove:
         return f"{self.from_bit} -> {self.to_bit}: {self.terms}"
 
 
+def check_terminal_bit(n: int, tau: int) -> None:
+    """Refuse a size or terminal bit that is not an int, or tau outside 0..n-1."""
+    if type(n) is not int or type(tau) is not int:
+        raise ValueError(f"n and tau must be integers, got {n!r} and {tau!r}")
+    if not 0 <= tau <= n - 1:
+        raise ValueError(f"terminal bit {tau} out of range for n = {n}")
+
+
 def _residual_fault(n: int, tau: int, i: int, g: Anf) -> str | None:
     """Why g cannot be the residual of bit i in a profile with terminal bit tau."""
     high = max(g.support(), default=-1)
@@ -69,6 +77,10 @@ class GaloisProfile:
     residuals[k] is the intended residual of bit tau + k, for bits tau
     through n - 1; each may read only variables x_0..x_tau, and the top
     one may not read x_0 (it would collide with the top bit's wrap tap).
+    So tau bounds what the residuals read and is the lowest bit that may
+    keep one.  The register's terminal bit is the lowest bit below n - 1
+    with a nonzero residual, else n - 1: tau, or a higher bit when the
+    residual of tau is zero.
 
     telescopes holds T_{tau+1}, ..., T_n: T_i is the XOR of the residuals
     of bits tau..i-1, each shifted up to sit just under bit i.  For
@@ -83,10 +95,7 @@ class GaloisProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "residuals", tuple(self.residuals))
-        if type(self.n) is not int or type(self.tau) is not int:
-            raise ValueError(f"n and tau must be integers, got {self.n!r} and {self.tau!r}")
-        if not 0 <= self.tau <= self.n - 1:
-            raise ValueError(f"terminal bit {self.tau} out of range for n = {self.n}")
+        check_terminal_bit(self.n, self.tau)
         if len(self.residuals) != self.n - self.tau:
             raise ValueError(
                 f"expected {self.n - self.tau} residuals for bits {self.tau}..{self.n - 1}, "
@@ -210,10 +219,9 @@ def apply_shift(m: Nlfsr, move: ShiftMove) -> Nlfsr:
     source's top residual cannot read x0.  Below tau every residual is
     zero, so each hop's terms are all of its bit's residual.
     """
-    try:
-        require_well_formed(m)
-    except StructureError as e:
-        raise ShiftRejected(f"source register rejected: {e}", e.violations) from None
+    violations = m.violations()
+    if violations:
+        raise ShiftRejected("source register rejected: register is not uniform and well-formed", violations)
     tau = m.terminal_bit()
     if move.from_bit != tau:
         raise ShiftRejected(

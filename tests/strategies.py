@@ -1,11 +1,11 @@
-"""Hypothesis strategies, a reference stepper and a register pair shared by the test modules."""
+"""Hypothesis strategies, a reference stepper, stream prefixes and a register pair shared by the test modules."""
 
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
 from nlfsr.anf import Anf, Monomial
-from nlfsr.register import Nlfsr
+from nlfsr.register import Nlfsr, int_to_state
 from nlfsr.transform import GaloisProfile
 
 
@@ -43,6 +43,11 @@ def reference_step(m: Nlfsr, x: int) -> int:
             parity ^= x & mask == mask
         out |= parity << i
     return out
+
+
+def streams(m: Nlfsr, length: int) -> list[tuple[int, ...]]:
+    """The first length output bits of m from each state, in state order."""
+    return [tuple(m.output_sequence(int_to_state(x, m.n), length)) for x in range(1 << m.n)]
 
 
 # Bits 1-6 (first) or 1-5 (second) count, x_k' = x_k + x1*...*x_{k-1},

@@ -158,6 +158,15 @@ class TestTransform:
         assert main(["transform", regs["b"], "--move", "1,0,x0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_rejected_source_names_each_violation_once(self, tmp_path, capsys):
+        reg = tmp_path / "nonsingular.reg"
+        reg.write_text("n = 3\nf2 = x0\nf1 = x2 + x1*x2\nf0 = x1\n")
+        assert main(["transform", str(reg), "--move", "1,0,x1*x2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: source register rejected: register is not uniform and well-formed: "
+            "bit 1: non-singular x2\n"
+        )
+
     def test_malformed_move_text(self, regs, capsys):
         assert main(["transform", regs["a"], "--move", "2;1;x1"]) == 2
 

@@ -91,7 +91,10 @@ class TestApplyShift:
         m = Nlfsr.parse("n = 4\nf3 = x0 + x1\nf2 = x3 + x2*x0\nf1 = x2 + x0\nf0 = x1")
         with pytest.raises(ShiftRejected) as err:
             apply_shift(m, ShiftMove(1, 0, Anf.parse("x0")))
-        assert "source register rejected" in str(err.value)
+        assert str(err.value) == (
+            "source register rejected: register is not uniform and well-formed: "
+            "bit 2: reads-above-terminal x2"
+        )
 
     def test_window_violating_result_rejected(self):
         # moving the cubic term of this top feedback down to bit 1 lands a
@@ -135,7 +138,7 @@ class TestApplyShift:
 
         assert outcome(lambda: apply_shift(m, move)) == outcome(hop_chain)
 
-    def test_one_build_and_two_checks_per_move(self, monkeypatch):
+    def test_one_build_and_two_checks_per_move(self, record_calls):
         # the source and the produced register are checked, whatever the
         # move's length; a zero-term move builds nothing
         fib = Nlfsr.fibonacci(64, Anf.parse("x0 + x60*x63"))
@@ -143,24 +146,14 @@ class TestApplyShift:
         fbs = list(Nlfsr.fibonacci(64, Anf.var(0)).feedbacks)
         fbs[3] = Anf.parse("x4 + x0*x3")
         expected = Nlfsr(fbs)
-        calls = {"violations": 0, "__init__": 0}
-
-        def spy(name):
-            original = getattr(Nlfsr, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(Nlfsr, name, counted)
-
-        spy("violations")
-        spy("__init__")
+        checks = record_calls(Nlfsr, "violations")
+        builds = record_calls(Nlfsr, "__init__")
         assert apply_shift(fib, moves[0]) == expected
-        assert calls == {"violations": 2, "__init__": 1}
-        calls.update(violations=0, __init__=0)
+        assert (len(checks), len(builds)) == (2, 1)
+        checks.clear()
+        builds.clear()
         assert apply_shift(fib, moves[1]) is fib
-        assert calls == {"violations": 1, "__init__": 0}
+        assert (len(checks), len(builds)) == (1, 0)
 
 
 def shifted_residual_sum(profile: GaloisProfile, i: int) -> Anf:
@@ -204,50 +197,29 @@ class TestLoweringRule:
             if not tele[t].is_zero
         ]
 
-    def test_one_validation_and_one_register_per_lowering(self, monkeypatch):
+    def test_one_validation_and_one_register_per_lowering(self, record_calls):
         # the rule decides the lowering, so the only structure check is the
         # source's and the only register built is profile.register()
         rng = random.Random(19)
         draws = [random_lowering(rng, rng.randint(11, 14)) for _ in range(100)]
-        calls = {"violations": 0, "__init__": 0}
-
-        def spy(name):
-            original = getattr(Nlfsr, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(Nlfsr, name, counted)
-
-        spy("violations")
-        spy("__init__")
+        checks = record_calls(Nlfsr, "violations")
+        builds = record_calls(Nlfsr, "__init__")
         assert sum(len(moves) for *_, moves in draws) > 100
         for fib, profile, galois, _ in draws:
-            calls.update(violations=0, __init__=0)
+            checks.clear()
+            builds.clear()
             assert lower_to_profile(fib, profile)[0] == galois
-            assert calls == {"violations": 1, "__init__": 1}
+            assert (len(checks), len(builds)) == (1, 1)
 
-    def test_draws_build_two_registers_and_validate_nothing(self, monkeypatch):
+    def test_draws_build_two_registers_and_validate_nothing(self, record_calls):
         # the profile decides reachability, so a kept draw builds only the
         # two registers it returns and a rejected draw builds none
-        calls = {"violations": 0, "__init__": 0}
-
-        def spy(name):
-            original = getattr(Nlfsr, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(Nlfsr, name, counted)
-
-        spy("violations")
-        spy("__init__")
+        checks = record_calls(Nlfsr, "violations")
+        builds = record_calls(Nlfsr, "__init__")
         rng = random.Random(19)
         for _ in range(100):
             random_lowering(rng, rng.randint(11, 14))
-        assert calls == {"violations": 0, "__init__": 200}
+        assert (len(checks), len(builds)) == (0, 200)
 
 
 class TestGaloisProfile:
@@ -287,6 +259,16 @@ class TestGaloisProfile:
             p = GaloisProfile.of_register(m)
             assert p.register() == m
             assert GaloisProfile.parse(str(p), 4) == p
+
+    @given(profiles())
+    def test_terminal_bit_is_the_lowest_kept_residual(self, p):
+        # tau bounds what the residuals read; a zero residual at tau leaves
+        # the register's terminal bit higher, and of_register reads that bit
+        g = p.register()
+        kept = [i for i in range(p.tau, p.n - 1) if not p.residual(i).is_zero]
+        terminal = kept[0] if kept else p.n - 1
+        assert g.terminal_bit() == terminal
+        assert (GaloisProfile.of_register(g) == p) == (terminal == p.tau)
 
     def test_parse_defaults_missing_to_zero(self):
         p = GaloisProfile.parse("tau = 1\ng1 = x0", 4)

@@ -26,7 +26,7 @@ from nlfsr.verify import (
     period_census,
     step_is_bijection,
 )
-from strategies import COUNTERS, polys, reference_step, registers
+from strategies import COUNTERS, polys, reference_step, registers, streams
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 
@@ -50,9 +50,7 @@ class TestOutputClasses:
         # streams that differ do so within their first 2^(n+1) bits
         a, b = pair
         size = 1 << a.n
-        length = 2 * size
-        sa = [a.output_sequence(int_to_state(x, a.n), length) for x in range(size)]
-        sb = [b.output_sequence(int_to_state(y, b.n), length) for y in range(size)]
+        sa, sb = streams(a, 2 * size), streams(b, 2 * size)
         ca, cb = output_classes(a, b)
         for x in range(size):
             for y in range(size):
@@ -65,7 +63,7 @@ class TestOutputClasses:
         with pytest.raises(ValueError, match="different sizes"):
             output_classes(A, two)
 
-    def test_windows_short_of_exact_fall_back_to_doubling(self, monkeypatch):
+    def test_windows_short_of_exact_fall_back_to_doubling(self, record_calls):
         # bits 1-6 count, x_k' = x_k + x_1*...*x_{k-1}, and bit 0 emits 1
         # one step after the count reaches 63: the stream fixes x0 and the
         # count, 128 classes, but a 7- or 8-bit window sees only x0 and
@@ -73,23 +71,18 @@ class TestOutputClasses:
         n = 7
         counter = [Anf([Monomial((k,)), Monomial(range(1, k))]) for k in range(1, n)]
         m = Nlfsr([Anf([Monomial(range(1, n))]), *counter])
-        streams = [tuple(m.output_sequence(int_to_state(x, n), 2 << n)) for x in range(1 << n)]
-        assert len({s[:n] for s in streams}) == 14
-        assert len({s[: n + 1] for s in streams}) == 16
-        assert len(set(streams)) == 128
-        transposed = []
-
-        def counting(columns, n):
-            transposed.append(len(columns))
-            return register.transpose(columns, n)
-
-        monkeypatch.setattr(verify, "transpose", counting)
+        sm = streams(m, 2 << n)
+        assert len({s[:n] for s in sm}) == 14
+        assert len({s[: n + 1] for s in sm}) == 16
+        assert len(set(sm)) == 128
+        transposed = record_calls(verify, "transpose")
         ca, cb = output_classes(m, m)
-        assert transposed == [n + 1, n + 1, n, n]  # the windows, then the jump
+        # the windows, then the jump
+        assert [len(columns) for (columns, _), _ in transposed] == [n + 1, n + 1, n, n]
         for x in range(1 << n):
             for y in range(1 << n):
-                assert (ca[x] == cb[y]) == (streams[x] == streams[y])
-                assert (ca[x] == ca[y]) == (streams[x] == streams[y])
+                assert (ca[x] == cb[y]) == (sm[x] == sm[y])
+                assert (ca[x] == ca[y]) == (sm[x] == sm[y])
 
 
 class TestBruteForceMatch:
@@ -143,15 +136,14 @@ class TestOutputSetEquivalence:
         a, b = pair
         n = a.n
         size = 1 << n
-        sa = [tuple(a.output_sequence(int_to_state(x, n), 2 * size)) for x in range(size)]
-        sb = [tuple(b.output_sequence(int_to_state(y, n), 2 * size)) for y in range(size)]
+        sa, sb = streams(a, 2 * size), streams(b, 2 * size)
         report = output_set_equivalent(a, b)
         if set(sa) == set(sb):
             assert report == EquivalenceReport("equivalent")
             return
         # the smallest state of the first register whose (n+1)-bit window
         # the second never emits, else the smallest such of the second
-        wa, wb = ({s[: n + 1] for s in streams} for streams in (sa, sb))
+        wa, wb = ({s[: n + 1] for s in side} for side in (sa, sb))
         unseen = [(x, "first", sa[x][: n + 1]) for x in range(size) if sa[x][: n + 1] not in wb]
         unseen += [(y, "second", sb[y][: n + 1]) for y in range(size) if sb[y][: n + 1] not in wa]
         if unseen:
@@ -231,31 +223,21 @@ class TestRefinementFallback:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_verdict_agrees_with_output_prefixes(self, case, monkeypatch):
+    def test_verdict_agrees_with_output_prefixes(self, case, record_calls):
         a, b = (Nlfsr.parse(text) for text in self.CASES[case])
         n = a.n
         size = 1 << n
         # streams that differ do so within their first 2^(n+1) bits
-        sa, sb = (
-            [tuple(m.output_sequence(int_to_state(x, n), 2 * size)) for x in range(size)]
-            for m in (a, b)
-        )
+        sa, sb = streams(a, 2 * size), streams(b, 2 * size)
         windows = {s[: n + 1] for s in sa}
         assert windows == {s[: n + 1] for s in sb}
         # Moore's test fails: two windows differ only in their last bit
         assert len({w[:n] for w in windows}) < len(windows)
         exact = output_classes(a, b)
-        refined = []
-        refine = verify._refined_classes
-
-        def counting(walks, n, count):
-            refined.append(refine(walks, n, count))
-            return refined[-1]
-
-        monkeypatch.setattr(verify, "_refined_classes", counting)
+        refined = record_calls(verify, "_refined_classes")
         report = output_set_equivalent(a, b)
         # refined once, into the exact labels of the pair
-        assert refined == [exact]
+        assert [labels for _, labels in refined] == [exact]
         in_a, in_b = set(sa), set(sb)
         if in_a == in_b:
             assert report == EquivalenceReport("equivalent")
@@ -268,19 +250,12 @@ class TestRefinementFallback:
         assert report == EquivalenceReport("not-equivalent", int_to_state(x, n), side)
 
     @pytest.mark.parametrize("case", CASES)
-    def test_refinement_reuses_the_walks(self, case, monkeypatch):
+    def test_refinement_reuses_the_walks(self, case, record_calls):
         # the fallback refines the two walks that settled the window sets
         a, b = (Nlfsr.parse(text) for text in self.CASES[case])
-        walked = []
-        walk = verify.walk_columns
-
-        def counting(m, steps):
-            walked.append(m)
-            return walk(m, steps)
-
-        monkeypatch.setattr(verify, "walk_columns", counting)
+        walked = record_calls(verify, "walk_columns")
         output_set_equivalent(a, b)
-        assert walked == [a, b]
+        assert [m for (m, _), _ in walked] == [a, b]
 
 
 def random_feedback(rng: random.Random, n: int) -> Anf:
