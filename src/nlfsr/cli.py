@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``simulate``, ``transform``, ``map-state``, ``verify``,
-``period`` and ``demo``.  Register and profile files use the formats
-documented in ``Nlfsr.parse`` and ``GaloisProfile.parse``; states on the
+``period`` and ``demo``.  Register and profile files share the grammar
+of ``register.read_assignments``, with the header and bit rules of
+``Nlfsr.parse`` and ``GaloisProfile.parse``; states on the
 command line are bit strings with the highest index first (``0001``
 means bit 0 holds 1).  Exit codes: 0 success (and equivalent), 1
 not-equivalent, 2 any error, 141 stdout closed before the output ended.

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .anf import Anf, ParseError, digits_value, is_ascii_digits
+from .anf import Anf, digits_value, is_ascii_digits
 
 #: Largest register size for which whole-state-space scans run.
 EXHAUSTIVE_LIMIT = 20
@@ -84,20 +84,54 @@ def check_state(state: Sequence[int], n: int) -> None:
         raise ValueError(f"state {tuple(state)} has an entry other than 0 or 1")
 
 
-def assignments(text: str) -> Iterator[tuple[int, str, str]]:
-    """The ``name = value`` lines of a register or profile file, as
-    (line number, name, value) with both sides stripped.
+def read_assignments(
+    text: str, header: str, letter: str, bits: Callable[[int], range]
+) -> tuple[int, dict[int, tuple[int, Anf]]]:
+    """Read a register or profile file: one ``header = K`` line, then
+    ``<letter>I = <poly>`` lines.  Returns K and, for each bit I assigned,
+    its line number and polynomial.
 
-    Blank lines are skipped; any other line without ``=`` is an error.
+    Blank lines are skipped.  K and I are runs of ASCII digits.  K comes
+    first and once; ``bits(K)`` is the range I may take, or raises
+    ValueError.  No bit is assigned twice, and a polynomial reads only
+    variables below ``bits(K).stop``.  Every refusal names its line.
     """
+    k: int | None = None
+    given: dict[int, tuple[int, Anf]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'name = value', got {line!r}")
-        name, _, value = line.partition("=")
-        yield lineno, name.strip(), value.strip()
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected 'name = value', got {line!r}")
+            name, value = map(str.strip, line.split("=", 1))
+            if name == header:
+                if k is not None:
+                    raise ValueError(f"duplicate {header}")
+                if not is_ascii_digits(value):
+                    raise ValueError(f"{header} must be an integer")
+                k = digits_value(value)
+                if k is None:
+                    raise ValueError(f"{header} out of range")
+                span = bits(k)
+            elif name[:1] == letter and is_ascii_digits(name[1:]):
+                if k is None:
+                    raise ValueError(f"{header} must be declared before any {letter}I line")
+                i = digits_value(name[1:])
+                # None first: `None in span` would scan the whole range
+                if i is None or i not in span:
+                    raise ValueError(f"bit {name[1:]} outside {span.start}..{span.stop - 1}")
+                if i in given:
+                    raise ValueError(f"duplicate assignment for bit {i}")
+                given[i] = lineno, Anf.parse(value, n_vars=span.stop)
+            else:
+                raise ValueError(f"unknown assignment {name!r}")
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
+    if k is None:
+        raise ValueError(f"missing '{header}' line")
+    return k, given
 
 
 def parse_state(text: str, n: int | None = None) -> State:
@@ -284,44 +318,22 @@ class Nlfsr:
             f1 = x2
             f0 = x1
 
-        Every bit must be assigned exactly once; errors carry line numbers.
+        The grammar of ``read_assignments``, header ``n`` >= 2, letter ``f``; every bit is assigned.
         """
-        n: int | None = None
-        feedbacks: dict[int, Anf] = {}
-        for lineno, name, value in assignments(text):
-            if name == "n":
-                if n is not None:
-                    raise ValueError(f"line {lineno}: duplicate n")
-                if not is_ascii_digits(value):
-                    raise ValueError(f"line {lineno}: n must be an integer")
-                n = digits_value(value)
-                if n is None:
-                    raise ValueError(f"line {lineno}: n out of range")
-                if n < 2:
-                    raise ValueError(f"line {lineno}: n must be at least 2")
-            elif name.startswith("f") and is_ascii_digits(name[1:]):
-                if n is None:
-                    raise ValueError(f"line {lineno}: n must be declared before feedbacks")
-                i = digits_value(name[1:])
-                if i is None or i >= n:
-                    raise ValueError(f"line {lineno}: bit {name[1:]} out of range for n = {n}")
-                if i in feedbacks:
-                    raise ValueError(f"line {lineno}: duplicate assignment for bit {i}")
-                try:
-                    feedbacks[i] = Anf.parse(value, n_vars=n)
-                except ParseError as e:
-                    raise ValueError(f"line {lineno}: {e}") from None
-            else:
-                raise ValueError(f"line {lineno}: unknown assignment {name!r}")
-        if n is None:
-            raise ValueError("missing 'n = <size>' line")
-        if len(feedbacks) < n:
-            lowest = next(i for i in range(len(feedbacks) + 1) if i not in feedbacks)
-            unassigned = n - len(feedbacks)
+
+        def bits(n: int) -> range:
+            if n < 2:
+                raise ValueError("n must be at least 2")
+            return range(n)
+
+        n, given = read_assignments(text, "n", "f", bits)
+        if len(given) < n:
+            lowest = next(i for i in range(len(given) + 1) if i not in given)
+            unassigned = n - len(given)
             raise ValueError(
                 f"missing feedback for bit(s) {lowest}: {unassigned} of {n} bits unassigned"
             )
-        return cls([feedbacks[i] for i in range(n)])
+        return cls([given[i][1] for i in range(n)])
 
 
 def _columns(n: int) -> list[int]:

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .anf import Anf, ParseError, digits_value, is_ascii_digits
-from .register import Nlfsr, StructureError, assignments, require_well_formed
+from .anf import Anf
+from .register import Nlfsr, StructureError, read_assignments, require_well_formed
 
 
 class ShiftRejected(StructureError):
@@ -53,9 +53,11 @@ class ShiftMove:
 
 
 def check_terminal_bit(n: int, tau: int) -> None:
-    """Refuse a size or terminal bit that is not an int, or tau outside 0..n-1."""
+    """Refuse a size or terminal bit that is not an int, n < 2, or tau outside 0..n-1."""
     if type(n) is not int or type(tau) is not int:
         raise ValueError(f"n and tau must be integers, got {n!r} and {tau!r}")
+    if n < 2:
+        raise ValueError(f"register needs at least 2 bits, got {n}")
     if not 0 <= tau <= n - 1:
         raise ValueError(f"terminal bit {tau} out of range for n = {n}")
 
@@ -170,39 +172,21 @@ class GaloisProfile:
 
     @classmethod
     def parse(cls, text: str, n: int) -> GaloisProfile:
-        """Parse the profile file format: a ``tau = K`` line, then ``gI = <poly>``
-        lines for bits I in tau..n-1; omitted bits default to zero."""
-        tau: int | None = None
-        given: dict[int, Anf] = {}
-        for lineno, name, value in assignments(text):
-            if name == "tau":
-                if tau is not None:
-                    raise ValueError(f"line {lineno}: duplicate tau")
-                if not is_ascii_digits(value):
-                    raise ValueError(f"line {lineno}: tau must be an integer")
-                tau = digits_value(value)
-                if tau is None or not 0 <= tau <= n - 1:
-                    raise ValueError(f"line {lineno}: tau out of range for n = {n}")
-            elif name.startswith("g") and is_ascii_digits(name[1:]):
-                if tau is None:
-                    raise ValueError(f"line {lineno}: tau must be declared first")
-                i = digits_value(name[1:])
-                if i is None or not tau <= i <= n - 1:
-                    raise ValueError(f"line {lineno}: bit {name[1:]} outside {tau}..{n - 1}")
-                if i in given:
-                    raise ValueError(f"line {lineno}: duplicate residual for bit {i}")
-                try:
-                    given[i] = Anf.parse(value, n_vars=n)
-                except ParseError as e:
-                    raise ValueError(f"line {lineno}: {e}") from None
-                fault = _residual_fault(n, tau, i, given[i])
-                if fault:
-                    raise ValueError(f"line {lineno}: {fault}")
-            else:
-                raise ValueError(f"line {lineno}: unknown assignment {name!r}")
-        if tau is None:
-            raise ValueError("missing 'tau = <bit>' line")
-        return cls(n, tau, tuple(given.get(i, Anf.zero()) for i in range(tau, n)))
+        """Parse the profile file format of an n-bit register: the grammar of
+        ``read_assignments`` with header ``tau`` (at most n - 1) and letter
+        ``g`` for bits tau..n-1; omitted bits default to zero."""
+
+        def bits(tau: int) -> range:
+            if tau > n - 1:
+                raise ValueError(f"tau out of range for n = {n}")
+            return range(tau, n)
+
+        tau, given = read_assignments(text, "tau", "g", bits)
+        for i, (lineno, g) in given.items():
+            fault = _residual_fault(n, tau, i, g)
+            if fault:
+                raise ValueError(f"line {lineno}: {fault}")
+        return cls(n, tau, tuple(given[i][1] if i in given else Anf.zero() for i in range(tau, n)))
 
 
 def apply_shift(m: Nlfsr, move: ShiftMove) -> Nlfsr:

@@ -372,7 +372,7 @@ class TestFileFormat:
             ("", "missing 'n"),
             ("n = 4\nf3 = x0\nf2 = x3\nf1 = x2", "missing feedback for bit(s) 0"),
             ("n = 2\nf1 = x0\nf1 = x0\nf0 = x1", "line 3: duplicate"),
-            ("n = 2\nf5 = x0\nf0 = x1", "line 2: bit 5 out of range"),
+            ("n = 2\nf5 = x0\nf0 = x1", "line 2: bit 5 outside 0..1"),
             ("n = 2\nf1 = x9\nf0 = x1", "line 2"),
             ("n = 2\nf1 = x0 & x1\nf0 = x1", "line 2"),
             ("n = 1\nf0 = x0", "at least 2"),
@@ -422,6 +422,37 @@ class TestFileFormat:
         with pytest.raises(ValueError) as err:
             parse(text)
         assert str(err.value).startswith(fragment)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param("{h} = {k}\n{h} = {k}", "line 2: duplicate {h}", id="duplicate-header"),
+            pytest.param("{h} = two", "line 1: {h} must be an integer", id="non-digit-header"),
+            pytest.param("{h} = " + "1" * 5000, "line 1: {h} out of range", id="huge-header"),
+            pytest.param("{l}1 = x0\n{h} = {k}", "line 1: {h} must be declared before any {l}I line", id="bit-first"),
+            pytest.param("{h} = {k}\n{l}5 = x0", "line 2: bit 5 outside 0..1", id="bit-out-of-range"),
+            pytest.param("{h} = {k}\n{l}1 = x0\n{l}1 = x0", "line 3: duplicate assignment for bit 1", id="duplicate-bit"),
+            pytest.param("{h} = {k}\n{l}1 x0", "line 2: expected 'name = value', got '{l}1 x0'", id="no-equals"),
+            pytest.param("{h} = {k}\nq1 = x0", "line 2: unknown assignment 'q1'", id="unknown-name"),
+        ],
+    )
+    def test_register_and_profile_files_refuse_alike(self, text, message):
+        # both formats assign bits 0..1 here: a 2-bit register, and a
+        # profile of a 2-bit register with tau = 0
+        formats = [(Nlfsr.parse, "n", "f", 2), (lambda t: GaloisProfile.parse(t, 2), "tau", "g", 0)]
+        for parse, h, l, k in formats:
+            with pytest.raises(ValueError) as err:
+                parse(text.format(h=h, l=l, k=k))
+            assert str(err.value) == message.format(h=h, l=l)
+
+    def test_huge_bit_of_a_huge_register_refused_quickly(self):
+        # the bit's digits have no int value, and testing that against the
+        # register's range must not scan it
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            Nlfsr.parse("n = 1000000000\nf" + "1" * 5000 + " = x0")
+        assert time.perf_counter() - start < 0.5
+        assert str(err.value).startswith("line 2: bit 1111")
 
     def test_missing_bits_of_a_huge_register_reported_briefly(self):
         # the report names the lowest missing bit and how many are missing,

@@ -8,6 +8,7 @@ from nlfsr import samples
 from nlfsr.anf import Anf, Monomial
 from nlfsr.generate import random_lowering, random_profile
 from nlfsr.register import Nlfsr, StructureError
+from nlfsr.statemap import StateCorrection
 from nlfsr.transform import (
     GaloisProfile,
     ShiftMove,
@@ -239,6 +240,21 @@ class TestGaloisProfile:
     def test_non_anf_residual_rejected(self):
         with pytest.raises(TypeError, match="residual 2 is not an Anf"):
             GaloisProfile(4, 1, (Anf.parse("x1"), "x0", Anf.zero()))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GaloisProfile(1, 0, (Anf.zero(),)),
+            lambda: StateCorrection(1, 0, ()),
+            lambda: GaloisProfile.parse("tau = 0\ng0 = 1", 1),
+        ],
+        ids=["profile", "correction", "parsed-profile"],
+    )
+    def test_one_bit_shapes_refused(self, build):
+        # no 1-bit register exists, so no shape of one is built
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == "register needs at least 2 bits, got 1"
 
     def test_telescopes_stay_out_of_repr(self):
         # they are derived from the residuals, so repr shows only the fields given
