@@ -60,17 +60,6 @@ class Monomial:
             raise ValueError(f"shift by {delta:+d} would give x{self.indices[0] + delta}")
         return Monomial(k + delta for k in self.indices)
 
-    def shifted_mod(self, delta: int, n: int) -> Monomial:
-        """Add delta to every index, wrapping modulo n."""
-        return Monomial((k + delta) % n for k in self.indices)
-
-    def mask(self) -> int:
-        """Bit mask of the variables read, for packed-state evaluation."""
-        m = 0
-        for k in self.indices:
-            m |= 1 << k
-        return m
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.indices == other.indices
 
@@ -181,7 +170,8 @@ class Anf:
             raise ValueError(f"bits must lie in 0..{n - 1}, got {from_bit} and {to_bit}")
         if any(k >= n for k in self.support()):
             raise ValueError(f"polynomial reads beyond x{n - 1}")
-        return Anf(t.shifted_mod(to_bit - from_bit, n) for t in self.terms)
+        delta = to_bit - from_bit
+        return Anf(Monomial((k + delta) % n for k in t.indices) for t in self.terms)
 
     def support(self) -> frozenset[int]:
         """Union of the variable indices of all terms; empty for constants."""

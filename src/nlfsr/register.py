@@ -183,7 +183,10 @@ class Nlfsr:
         residuals = tuple(f ^ Anf.var((i + 1) % n) or zero for i, f in enumerate(fbs))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "feedbacks", fbs)
-        masks = tuple((i, tuple(t.mask() for t in r.terms)) for i, r in enumerate(residuals) if r)
+        masks = tuple(
+            (i, tuple(sum(1 << k for k in t.indices) for t in r.terms))
+            for i, r in enumerate(residuals) if r
+        )
         object.__setattr__(self, "_residuals", residuals)
         object.__setattr__(self, "_residual_masks", masks)
 
@@ -336,25 +339,24 @@ class Nlfsr:
         return cls([given[i][1] for i in range(n)])
 
 
-def _columns(n: int) -> list[int]:
-    """Column k of the state space: a 2^n-bit int whose bit x is bit k of x.
+def _tile(word: int, width: int, size: int) -> int:
+    """The size-bit int that repeats a width-bit word, both powers of two.
 
-    Each column repeats one byte pattern: 0xAA, 0xCC and 0xF0 for k < 3,
-    and 2^(k-3) zero bytes then as many 0xFF bytes for k >= 3.  Below
-    n = 3 the state space is shorter than the byte, which is cut to fit.
+    The word is doubled up to 64 bits, or to size if smaller, then its
+    bytes are copied: doubling to size would hold about 2.5 times the result.
     """
-    size = 1 << n
-    nbytes = max(size // 8, 1)
-    ones = (1 << size) - 1
-    cols = []
-    for k in range(n):
-        if k < 3:
-            block = bytes(((0xAA, 0xCC, 0xF0)[k],))
-        else:
-            half = 1 << (k - 3)
-            block = bytes(half) + b"\xff" * half
-        cols.append(int.from_bytes(block * (nbytes // len(block)), "little") & ones)
-    return cols
+    while width < min(size, 64):
+        word |= word << width
+        width *= 2
+    if width == size:
+        return word
+    return int.from_bytes(word.to_bytes(width // 8, "little") * (size // width), "little")
+
+
+def _columns(n: int) -> list[int]:
+    """Column k of the state space: a 2^n-bit int whose bit x is bit k of x,
+    so 2^k zeros then 2^k ones, tiled."""
+    return [_tile(((1 << (1 << k)) - 1) << (1 << k), 2 << k, 1 << n) for k in range(n)]
 
 
 def walk_columns(m: Nlfsr, steps: int) -> tuple[list[int], list[int]]:
@@ -382,12 +384,8 @@ def walk_columns(m: Nlfsr, steps: int) -> tuple[list[int], list[int]]:
 
 
 #: The three delta swaps that transpose each 64-bit word as an 8x8 bit
-#: matrix: a shift and its mask's repeating little-endian byte pattern.
-_DELTA_SWAPS = (
-    (7, b"\xaa\x00"),  # 0x00AA00AA00AA00AA
-    (14, b"\xcc\xcc\x00\x00"),  # 0x0000CCCC0000CCCC
-    (28, b"\xf0\xf0\xf0\xf0\x00\x00\x00\x00"),  # 0x00000000F0F0F0F0
-)
+#: matrix: a shift and its 64-bit mask.
+_DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def transpose(columns: Sequence[int], n: int) -> memoryview:
@@ -416,8 +414,8 @@ def transpose(columns: Sequence[int], n: int) -> memoryview:
             words[k::8] = column.to_bytes(padded // 8, "little")
         x = int.from_bytes(words, "little")
         del words
-        for shift, pattern in _DELTA_SWAPS:
-            t = (x ^ (x >> shift)) & int.from_bytes(pattern * (padded // len(pattern)), "little")
+        for shift, mask in _DELTA_SWAPS:
+            t = (x ^ (x >> shift)) & _tile(mask, 64, 8 * padded)
             x ^= t ^ (t << shift)
         del t
         byte = j // 8 if sys.byteorder == "little" else 3 - j // 8

@@ -114,8 +114,6 @@ def brute_force_match(a: Nlfsr, b: Nlfsr, state: Sequence[int]) -> State | None:
 
     Returns None when no state of b reproduces that stream.
     """
-    if a.n != b.n:
-        raise ValueError(f"registers have different sizes {a.n} and {b.n}")
     check_state(state, a.n)
     ca, cb = output_classes(a, b)
     try:

@@ -13,9 +13,11 @@ from hypothesis import given, strategies as st
 from nlfsr import cli, samples
 from nlfsr.anf import Anf, Monomial, ParseError
 from nlfsr.register import (
+    EXHAUSTIVE_LIMIT,
     Nlfsr,
     StructureError,
     Violation,
+    _columns,
     format_state,
     int_to_state,
     parse_state,
@@ -576,6 +578,11 @@ class TestTranspose:
             for columns in (randoms, [0] * count, [ones] * count):
                 lanes = transpose(columns, n).tolist()
                 assert lanes == [transposed(columns, x) for x in range(1 << n)]
+
+    def test_state_space_columns_transpose_to_the_states(self):
+        # lane x of the state-space columns is x itself, at every size a scan may take
+        for n in range(2, EXHAUSTIVE_LIMIT + 1):
+            assert transpose(_columns(n), n) == array("I", range(1 << n)), n
 
     def test_largest_size_samples(self):
         # 21 columns reach the third lane byte at the scan limit

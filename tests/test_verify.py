@@ -125,7 +125,7 @@ class TestBruteForceMatch:
 
     def test_size_mismatch(self):
         two = Nlfsr.parse("n = 2\nf1 = x0\nf0 = x1")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different sizes"):
             brute_force_match(A, two, parse_state("0001"))
 
 
