@@ -78,7 +78,8 @@ class Monomial:
         return "*".join(f"x{k}" for k in self.indices)
 
 
-_TOKEN = re.compile(r"\s*(x[0-9]+|1|0|\+|\*)")
+# a token, or else the first character that starts none
+_TOKEN = re.compile(r"\s*(?:(x[0-9]+|1|0|\+|\*)|(\S))")
 
 # The grammar of Anf.parse, whitespace insignificant, besides the lone token 0:
 #   poly := term ('+' term)* ;  term := '1' | factor ('*' factor)* ;  factor := 'x' digits
@@ -212,27 +213,15 @@ class Anf:
     @classmethod
     def parse(cls, text: str, n_vars: int | None = None) -> Anf:
         """Parse polynomial text (grammar at ``_FOLLOW``); with n_vars given, indices stay below it."""
-        tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                    raise ParseError(f"unexpected character {text[bad]!r}", bad)
-                break
-            tokens.append((m.group(1), m.start(1)))
-            pos = m.end()
-
-        if not tokens:
-            raise ParseError("empty polynomial", 0)
-        if len(tokens) == 1 and tokens[0][0] == "0":
+        if text.strip() == "0":
             return cls.zero()
-
         terms: list[Monomial] = []
         factors: list[int] = []
         prev = ""
-        for tok, at in tokens:
+        for m in _TOKEN.finditer(text):
+            tok, at = m[1], m.start(1)
+            if tok is None:
+                raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
             follow = _FOLLOW[prev[:1]]
             if tok[0] not in follow:
                 where = f"after {prev!r}" if prev else "at the start"
@@ -248,6 +237,8 @@ class Anf:
                 terms.append(Monomial(factors))
                 factors = []
             prev = tok
+        if not prev:
+            raise ParseError("empty polynomial", 0)
         # a term is complete exactly where a '+' may follow
         if "+" not in _FOLLOW[prev[0]]:
             raise ParseError("expected a factor", len(text))

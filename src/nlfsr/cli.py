@@ -45,8 +45,14 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
 
 
 def _cmd_simulate(args) -> int:
+    steps = args.steps.strip()
+    if not is_ascii_digits(steps):
+        raise ValueError(f"steps must be non-negative ASCII digits, got {args.steps!r}")
+    count = digits_value(steps)
+    if count is None:
+        raise ValueError("steps out of range")
     m = _load(args.register, Nlfsr.parse)
-    states = m.run(parse_state(args.init, m.n), args.steps)
+    states = m.run(parse_state(args.init, m.n), count)
     if args.states:
         for x in states:
             print(format_state(int_to_state(x, m.n)))
@@ -144,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a register and print its output bits")
     p.add_argument("register", help="register file")
     p.add_argument("--init", required=True, help="initial state, highest index first")
-    p.add_argument("--steps", required=True, type=int, help="number of steps")
+    p.add_argument("--steps", required=True, help="number of steps, in ASCII digits")
     p.add_argument("--states", action="store_true", help="print one state per line instead")
     p.set_defaults(func=_cmd_simulate)
 

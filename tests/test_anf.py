@@ -108,6 +108,19 @@ class TestShifts:
         assert Anf.parse("x0").shifted_between(0, 3, 4) == Anf.parse("x3")
         assert Anf.parse("x0").shifted_between(1, 0, 4) == Anf.parse("x3")
 
+    @pytest.mark.parametrize(
+        "p, from_bit, to_bit, message",
+        [
+            (Anf.var(1), 4, 1, "bits must lie in 0..3, got 4 and 1"),
+            (Anf.var(5), 2, 1, "polynomial reads beyond x3"),
+        ],
+        ids=["bit-outside", "reads-outside"],
+    )
+    def test_between_refuses_what_lies_outside_the_register(self, p, from_bit, to_bit, message):
+        with pytest.raises(ValueError) as err:
+            p.shifted_between(from_bit, to_bit, 4)
+        assert str(err.value) == message
+
     def test_between_same_bit_is_identity(self):
         p = Anf.parse("x0*x1 + x2")
         assert p.shifted_between(2, 2, 4) == p
@@ -138,6 +151,15 @@ class TestXor:
         m = Monomial([0, 1])
         assert Anf([m, m]).is_zero
         assert Anf([m, m, m]) == Anf([m])
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Anf([(1,)]), lambda: Anf.var(1) ^ 1],
+        ids=["tuple-term", "xor-int"],
+    )
+    def test_other_types_refused(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     @given(polys, polys, polys)
     def test_group_laws(self, p, q, r):
@@ -202,6 +224,10 @@ class TestText:
             # a bound fault before a later grammar fault, and the reverse
             ("x9 + + x1", 4, 0),
             ("x1 x9", 4, 3),
+            # a stray character after an earlier fault does not hide it
+            ("x9 + ?", 4, 0),
+            ("x1 + + ?", None, 5),
+            ("+ x1 ?", None, 0),
         ],
     )
     def test_error_carries_position(self, text, n_vars, position):

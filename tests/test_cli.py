@@ -91,6 +91,22 @@ class TestSimulate:
         assert captured.out == ""
         assert "steps must be non-negative" in captured.err
 
+    # int() reads each of the first three as 15
+    @pytest.mark.parametrize("steps", ["\u0661\u0665", "+15", "1_5", "-1", "3x", ""])
+    def test_steps_must_be_ascii_digits(self, regs, capsys, steps):
+        assert main(["simulate", regs["a"], "--init", "0001", "--steps", steps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"steps must be non-negative ASCII digits, got {steps!r}" in captured.err
+
+    def test_steps_around_digits_are_stripped(self, regs, capsys):
+        assert main(["simulate", regs["a"], "--init", "0001", "--steps", " 15 "]) == 0
+        assert capsys.readouterr().out == "100010110100111\n"
+
+    def test_steps_past_4300_digits(self, regs, capsys):
+        assert main(["simulate", regs["a"], "--init", "0001", "--steps", "1" * 5000]) == 2
+        assert "steps out of range" in capsys.readouterr().err
+
     def test_bad_init_length(self, regs, capsys):
         assert main(["simulate", regs["a"], "--init", "001", "--steps", "3"]) == 2
         assert "error" in capsys.readouterr().err
@@ -349,7 +365,7 @@ class TestParser:
         assert main(["simulate", regs["a"], "--init", "0001", "--steps", "3"]) == 0
         assert capsys.readouterr().out == "0001\n1000\n0100\n100\n"
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", regs["a"], "--init", "0001", "--steps", "3x"])
+            main(["simulate", regs["a"], "--init", "0001"])
         assert exc.value.code == 2
         assert main(["verify", regs["a"], regs["f"]]) == 0
         assert capsys.readouterr().out == "equivalent\n"

@@ -93,6 +93,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Nlfsr([Anf.var(1), Anf.parse("x0 + x4")])
 
+    def test_non_anf_feedback_refused(self):
+        with pytest.raises(TypeError, match="feedback 1 is not an Anf"):
+            Nlfsr([Anf.var(1), "x0"])
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [(Monomial((1,)), "indices"), (Anf.var(1), "terms"), (Nlfsr(A.feedbacks), "n")],
+        ids=["Monomial", "Anf", "Nlfsr"],
+    )
+    def test_values_are_immutable(self, value, field):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError, match="is immutable"):
+            value.note = 1
+
     def test_equality_is_polynomial_exact(self):
         assert Nlfsr.parse(str(A)) == A
         assert A != B

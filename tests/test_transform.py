@@ -237,6 +237,11 @@ class TestGaloisProfile:
         with pytest.raises(ValueError, match="must be integers"):
             GaloisProfile(n, tau, (Anf.parse("x0"),) * 3)
 
+    def test_one_residual_per_bit_from_tau(self):
+        with pytest.raises(ValueError) as err:
+            GaloisProfile(4, 1, (Anf.zero(),))
+        assert str(err.value) == "expected 3 residuals for bits 1..3, got 1"
+
     def test_non_anf_residual_rejected(self):
         with pytest.raises(TypeError, match="residual 2 is not an Anf"):
             GaloisProfile(4, 1, (Anf.parse("x1"), "x0", Anf.zero()))
@@ -344,6 +349,11 @@ class TestLowering:
         with pytest.raises(StructureError) as err:
             lower_to_profile(F, profile)
         assert "inconsistent" in str(err.value)
+
+    def test_profile_size_must_match(self):
+        with pytest.raises(ValueError) as err:
+            lower_to_profile(F, GaloisProfile(5, 4, (Anf.zero(),)))
+        assert str(err.value) == "register has 4 bits, profile expects 5"
 
     def test_requires_fibonacci_source(self):
         profile = GaloisProfile.parse("tau = 1\ng3 = x1\ng2 = x0*x1\ng1 = x0", 4)
