@@ -50,6 +50,10 @@ class Monomial:
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not __setattr__
+        return Monomial, (self.indices,)
+
     @property
     def is_one(self) -> bool:
         return not self.indices
@@ -119,6 +123,9 @@ class Anf:
 
     def __setattr__(self, name, value):
         raise AttributeError("Anf is immutable")
+
+    def __reduce__(self):
+        return Anf, (self.terms,)
 
     @classmethod
     def zero(cls) -> Anf:

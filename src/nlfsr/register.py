@@ -193,6 +193,10 @@ class Nlfsr:
     def __setattr__(self, name, value):
         raise AttributeError("Nlfsr is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not __setattr__
+        return Nlfsr, (self.feedbacks,)
+
     @classmethod
     def fibonacci(cls, n: int, top: Anf) -> Nlfsr:
         """Build the register where every bit shifts and bit n-1 computes top."""
@@ -427,9 +431,11 @@ def successor_table(m: Nlfsr) -> memoryview:
     """Entry x is the packed successor of packed state x, over all 2^n states.
 
     This table, the one-step case of ``walk_columns``, starts every
-    whole-state-space scan but three oracles, which read the output
-    windows of ``verify._windows`` instead: the equivalence oracle,
-    ``output_classes`` and ``brute_force_match``.  It is a read-only
+    whole-state-space scan but three oracles, which read output windows
+    of ``walk_columns`` instead: the equivalence oracle (the windows of
+    both registers from ``verify._windows``, or against a Fibonacci
+    register those of the other alone), ``output_classes`` and
+    ``brute_force_match``.  It is a read-only
     view of one 4-byte lane per state, and its ``tolist()`` equals
     ``[m.step_packed(x) for x in range(1 << m.n)]``.
     """

@@ -9,6 +9,8 @@ into exact output classes, by pointer doubling from the (n+1)-step jump
 the same walk ends on.  Then one rule decides: equal marks mean the
 registers are equivalent, and a state whose label the other side never
 marks starts no stream of the other, so it witnesses that they are not.
+Against a Fibonacci register, whose windows are the graph of its top
+feedback, only the other register is walked and marked.
 Cycle structure, and with it whether the update is a bijection, is
 decided by one walk over the full successor graph.
 
@@ -150,14 +152,18 @@ class EquivalenceReport:
 def output_set_equivalent(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
     """Decide whether two registers generate the same set of output sequences.
 
-    Each side's (n+1)-bit windows are marked by ``_marks``.  Equal marks
-    that fail ``_moore`` are swapped for the ``_refined_classes`` labels
-    of the same walks and their marks.  Then equal marks mean equivalent,
-    and otherwise the witness is a state whose label the other side
-    never marks, as ``EquivalenceReport`` states.
+    When either register is Fibonacci, ``_against_fibonacci`` decides
+    from one walk of the other.  Otherwise each side's (n+1)-bit windows
+    are marked by ``_marks``.  Equal marks that fail ``_moore`` are
+    swapped for the ``_refined_classes`` labels of the same walks and
+    their marks.  Then equal marks mean equivalent, and otherwise the
+    witness is a state whose label the other side never marks, as
+    ``EquivalenceReport`` states.
     """
     if a.n != b.n:
         raise ValueError(f"registers have different sizes {a.n} and {b.n}")
+    if a.is_fibonacci() or b.is_fibonacci():
+        return _against_fibonacci(a, b)
     n = a.n
     walks = [_windows(m) for m in (a, b)]
     labels = [lanes for lanes, _ in walks]
@@ -178,6 +184,44 @@ def output_set_equivalent(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
     return EquivalenceReport("not-equivalent", int_to_state(x, n), side, window)
 
 
+def _against_fibonacci(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
+    """``output_set_equivalent`` when a or b is Fibonacci, from one walk
+    of the other, g (b when both are).
+
+    A Fibonacci register's state is its own first n output bits, so its
+    window from state p is p then top(p): the graph of its top feedback,
+    which always passes ``_moore``.  Bit y of the column d is set where
+    g's window from y breaks that recurrence, so is no Fibonacci window.
+    g's n-bit prefixes are marked with d's bit on top, so marks[p] for
+    p < 2^n means g emits the Fibonacci window from p.  The Fibonacci
+    side's smallest unmatched state is thus its smallest unmarked p, and
+    g's is the lowest set bit of d.  With neither, every stream of g
+    follows the recurrence from its prefix and every prefix starts one,
+    so the registers are equivalent.
+    """
+    if a.is_fibonacci():
+        fib, g, fib_side, g_side = a, b, "first", "second"
+    else:
+        fib, g, fib_side, g_side = b, a, "second", "first"
+    n = g.n
+    top = fib.feedbacks[-1]
+    outputs, _ = walk_columns(g, n + 1)
+    d = outputs[n] ^ top.evaluate(outputs[:n], (1 << (1 << n)) - 1)
+    p = _marks(transpose(outputs[:n] + [d], n), n).find(0, 0, 1 << n)
+    unmatched = {}  # side: (state, window)
+    if p >= 0:
+        unmatched[fib_side] = p, p | top.evaluate(int_to_state(p, n)) << n
+    if d:
+        y = (d & -d).bit_length() - 1
+        window = sum((column >> y & 1) << t for t, column in enumerate(outputs))
+        unmatched[g_side] = y, window
+    if not unmatched:
+        return EquivalenceReport("equivalent")
+    side = "first" if "first" in unmatched else "second"
+    x, window = unmatched[side]
+    return EquivalenceReport("not-equivalent", int_to_state(x, n), side, int_to_state(window, n + 1))
+
+
 @dataclass(frozen=True)
 class PeriodCensus:
     """Cycle structure of a register's step function over all 2^n states.
@@ -194,6 +238,10 @@ class PeriodCensus:
 
     def __post_init__(self):
         object.__setattr__(self, "cycles", MappingProxyType(dict(self.cycles)))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle, so rebuild from a plain dict
+        return PeriodCensus, (self.n, dict(self.cycles), self.tail_states)
 
     @property
     def period(self) -> int:

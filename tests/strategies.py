@@ -15,12 +15,20 @@ def polys(n: int):
     return st.frozensets(terms, max_size=4).map(Anf)
 
 
-@st.composite
-def registers(draw, max_n: int) -> Nlfsr:
-    """Registers of 2..max_n bits with arbitrary feedbacks: non-bijective
-    updates and no register structure are allowed."""
-    n = draw(st.integers(2, max_n))
-    return Nlfsr(draw(st.lists(polys(n), min_size=n, max_size=n)))
+def sized_registers(n: int):
+    """n-bit registers with arbitrary feedbacks: non-bijective updates and
+    no register structure are allowed."""
+    return st.lists(polys(n), min_size=n, max_size=n).map(Nlfsr)
+
+
+def registers(max_n: int):
+    """``sized_registers`` of 2..max_n bits."""
+    return st.integers(2, max_n).flatmap(sized_registers)
+
+
+def fibonacci_registers(n: int):
+    """n-bit Fibonacci registers with any top feedback."""
+    return polys(n).map(lambda top: Nlfsr.fibonacci(n, top))
 
 
 @lru_cache(maxsize=64)

@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 import random
 import re
 import sys
@@ -28,8 +30,8 @@ from nlfsr.register import (
     walk_columns,
 )
 from nlfsr.statemap import build_correction
-from nlfsr.transform import GaloisProfile
-from nlfsr.verify import brute_force_match, period_census
+from nlfsr.transform import GaloisProfile, ShiftMove
+from nlfsr.verify import brute_force_match, output_set_equivalent, period_census
 from strategies import polys, profiles, reference_step, registers
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
@@ -108,6 +110,28 @@ class TestConstruction:
             setattr(value, field, before)
         with pytest.raises(AttributeError, match="is immutable"):
             value.note = 1
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Monomial((1, 2)),
+            Anf.parse("1 + x2 + x0*x1"),
+            A,
+            ShiftMove(2, 1, Anf.parse("x1")),
+            GaloisProfile.of_register(B),
+            build_correction(B),
+            period_census(A),
+            output_set_equivalent(F, samples.ROTATION),
+            Violation("non-singular", 1, 2),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_values_pickle_and_copy(self, value):
+        # every public value type; each copy is equal and keeps its guard
+        for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert copied == value
+            with pytest.raises(AttributeError):
+                copied.note = 1
 
     def test_equality_is_polynomial_exact(self):
         assert Nlfsr.parse(str(A)) == A

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nlfsr import register, samples, verify
 from nlfsr.anf import Anf, Monomial
@@ -26,7 +26,16 @@ from nlfsr.verify import (
     period_census,
     step_is_bijection,
 )
-from strategies import COUNTERS, polys, reference_step, registers, streams
+from strategies import (
+    COUNTERS,
+    fibonacci_registers,
+    polys,
+    profiles,
+    reference_step,
+    registers,
+    sized_registers,
+    streams,
+)
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 
@@ -41,6 +50,19 @@ def register_pairs(draw) -> tuple[Nlfsr, Nlfsr]:
     for i in draw(st.sets(st.integers(0, a.n - 1))):
         redrawn[i] = draw(polys(a.n))
     return a, Nlfsr(redrawn)
+
+
+@st.composite
+def fibonacci_pairs(draw) -> tuple[Nlfsr, Nlfsr]:
+    """A Fibonacci register and a register of its size, in either order.
+    The other is a profile's register, an arbitrary register or a second
+    Fibonacci register; the Fibonacci register has any top feedback or is
+    the profile's own source, to which the profile's register is equivalent."""
+    profile = draw(profiles(max_n=6))
+    n = profile.n
+    fib = draw(st.one_of(fibonacci_registers(n), st.just(profile.fibonacci())))
+    other = draw(st.one_of(st.just(profile.register()), sized_registers(n), fibonacci_registers(n)))
+    return (fib, other) if draw(st.booleans()) else (other, fib)
 
 
 class TestOutputClasses:
@@ -130,7 +152,8 @@ class TestBruteForceMatch:
 
 
 class TestOutputSetEquivalence:
-    @given(register_pairs())
+    @settings(max_examples=200)
+    @given(st.one_of(register_pairs(), fibonacci_pairs()))
     def test_agrees_with_output_prefixes(self, pair):
         # streams that differ do so within their first 2^(n+1) bits
         a, b = pair
@@ -161,7 +184,8 @@ class TestOutputSetEquivalence:
         own, other = (sa, sb) if report.witness_side == "first" else (sb, sa)
         assert own[state_to_int(report.witness)] not in set(other)
 
-    @given(register_pairs())
+    @settings(max_examples=200)
+    @given(st.one_of(register_pairs(), fibonacci_pairs()))
     def test_verdict_is_the_class_set_comparison(self, pair):
         a, b = pair
         ca, cb = output_classes(a, b)
@@ -175,6 +199,21 @@ class TestOutputSetEquivalence:
         monkeypatch.setattr(verify, "_refined_classes", no_refinement)
         for x, y in ((A, B), (F, A), (F, F), (F, samples.ROTATION), (samples.ROTATION, F)):
             output_set_equivalent(x, y)
+
+    @pytest.mark.parametrize(
+        "a, b, walked",
+        [(F, A, A), (A, F, A), (F, samples.ROTATION, samples.ROTATION)],
+        ids=["F-A", "A-F", "F-ROTATION"],
+    )
+    def test_one_walk_against_a_fibonacci_register(self, a, b, walked, record_calls):
+        # a Fibonacci register's windows are the graph of its top feedback,
+        # so only the other register (the second when both are Fibonacci)
+        # is walked, transposed and marked, and Moore's test never runs
+        names = ("walk_columns", "transpose", "_marks", "_moore", "_refined_classes")
+        calls = {name: record_calls(verify, name) for name in names}
+        output_set_equivalent(a, b)
+        assert [m for (m, _), _ in calls["walk_columns"]] == [walked]
+        assert [len(calls[name]) for name in names[1:]] == [1, 1, 0, 0]
 
     def test_size_mismatch(self):
         two = Nlfsr.parse("n = 2\nf1 = x0\nf0 = x1")
