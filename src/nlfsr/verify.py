@@ -10,7 +10,9 @@ the same walk ends on.  Then one rule decides: equal marks mean the
 registers are equivalent, and a state whose label the other side never
 marks starts no stream of the other, so it witnesses that they are not.
 Against a Fibonacci register, whose windows are the graph of its top
-feedback, only the other register is walked and marked.
+feedback, only the other register is walked, and it is marked only when
+its n-bit output prefixes are not triangular in its state; a triangular
+prefix map is a bijection, so the walk's own columns decide.
 Cycle structure, and with it whether the update is a bijection, is
 decided by one walk over the full successor graph.
 
@@ -192,12 +194,16 @@ def _against_fibonacci(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
     window from state p is p then top(p): the graph of its top feedback,
     which always passes ``_moore``.  Bit y of the column d is set where
     g's window from y breaks that recurrence, so is no Fibonacci window.
-    g's n-bit prefixes are marked with d's bit on top, so marks[p] for
-    p < 2^n means g emits the Fibonacci window from p.  The Fibonacci
-    side's smallest unmatched state is thus its smallest unmarked p, and
-    g's is the lowest set bit of d.  With neither, every stream of g
-    follows the recurrence from its prefix and every prefix starts one,
-    so the registers are equivalent.
+    The Fibonacci side's smallest unmatched state is the smallest prefix
+    p that g never emits with a window that follows the recurrence, and
+    g's is the lowest set bit of d.  When g's prefix map P is triangular
+    (``_triangular``), it is a bijection, so p is unmatched exactly where
+    d is set at P^-1(p), and ``_smallest_prefix`` finds the smallest from
+    the walk's columns.  Otherwise g's n-bit prefixes are marked with d's
+    bit on top, so marks[p] for p < 2^n means g emits the Fibonacci window
+    from p, and the smallest unmarked p is the one.  With neither, every
+    stream of g follows the recurrence from its prefix and every prefix
+    starts one, so the registers are equivalent.
     """
     if a.is_fibonacci():
         fib, g, fib_side, g_side = a, b, "first", "second"
@@ -206,8 +212,12 @@ def _against_fibonacci(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
     n = g.n
     top = fib.feedbacks[-1]
     outputs, _ = walk_columns(g, n + 1)
-    d = outputs[n] ^ top.evaluate(outputs[:n], (1 << (1 << n)) - 1)
-    p = _marks(transpose(outputs[:n] + [d], n), n).find(0, 0, 1 << n)
+    ones = (1 << (1 << n)) - 1
+    d = outputs[n] ^ top.evaluate(outputs[:n], ones)
+    if _triangular(outputs[:n], ones):
+        p = _smallest_prefix(outputs[:n], d)
+    else:
+        p = _marks(transpose(outputs[:n] + [d], n), n).find(0, 0, 1 << n)
     unmatched = {}  # side: (state, window)
     if p >= 0:
         unmatched[fib_side] = p, p | top.evaluate(int_to_state(p, n)) << n
@@ -220,6 +230,36 @@ def _against_fibonacci(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
     side = "first" if "first" in unmatched else "second"
     x, window = unmatched[side]
     return EquivalenceReport("not-equivalent", int_to_state(x, n), side, int_to_state(window, n + 1))
+
+
+def _triangular(outputs: list[int], ones: int) -> bool:
+    """Whether output t of every state is x_t plus a function of x_0..x_{t-1}.
+
+    Adding 2^t to x flips bit t and keeps the bits below it, so this holds
+    exactly when column t differs between lanes x and x + 2^t for every
+    x < 2^n - 2^t.  The prefix map is then triangular, so a bijection.
+    """
+    for t, column in enumerate(outputs):
+        low = ones >> (1 << t)
+        if (column ^ column >> (1 << t)) & low != low:
+            return False
+    return True
+
+
+def _smallest_prefix(outputs: list[int], lanes: int) -> int:
+    """The smallest n-bit output prefix over the set bits of lanes, or -1
+    when none is set: from the top bit down, keep the lanes whose output
+    t is 0 if any are left, and else set bit t of the prefix."""
+    if not lanes:
+        return -1
+    p = 0
+    for t in reversed(range(len(outputs))):
+        zero = lanes & ~outputs[t]
+        if zero:
+            lanes = zero
+        else:
+            p |= 1 << t
+    return p
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,11 @@ from strategies import (
 )
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
+# each bit copies another, so the outputs are x0, x2, x1, x0, ...: the
+# prefix map is a bijection that is not triangular, and the stream set
+# is the 3-bit rotation's
+SWAPPED = Nlfsr.parse("n = 3\nf2 = x1\nf1 = x0\nf0 = x2")
+ROTATION_3 = Nlfsr.fibonacci(3, Anf.var(0))
 
 
 @st.composite
@@ -201,19 +206,25 @@ class TestOutputSetEquivalence:
             output_set_equivalent(x, y)
 
     @pytest.mark.parametrize(
-        "a, b, walked",
-        [(F, A, A), (A, F, A), (F, samples.ROTATION, samples.ROTATION)],
-        ids=["F-A", "A-F", "F-ROTATION"],
+        "a, b, walked, marked",
+        [
+            (F, A, A, 0),
+            (A, F, A, 0),
+            (F, samples.ROTATION, samples.ROTATION, 0),
+            (ROTATION_3, SWAPPED, SWAPPED, 1),
+        ],
+        ids=["F-A", "A-F", "F-ROTATION", "ROTATION-SWAPPED"],
     )
-    def test_one_walk_against_a_fibonacci_register(self, a, b, walked, record_calls):
+    def test_one_walk_against_a_fibonacci_register(self, a, b, walked, marked, record_calls):
         # a Fibonacci register's windows are the graph of its top feedback,
         # so only the other register (the second when both are Fibonacci)
-        # is walked, transposed and marked, and Moore's test never runs
+        # is walked, and Moore's test never runs; its output prefixes are
+        # transposed and marked only when they are not triangular in the state
         names = ("walk_columns", "transpose", "_marks", "_moore", "_refined_classes")
         calls = {name: record_calls(verify, name) for name in names}
         output_set_equivalent(a, b)
         assert [m for (m, _), _ in calls["walk_columns"]] == [walked]
-        assert [len(calls[name]) for name in names[1:]] == [1, 1, 0, 0]
+        assert [len(calls[name]) for name in names[1:]] == [marked, marked, 0, 0]
 
     def test_size_mismatch(self):
         two = Nlfsr.parse("n = 2\nf1 = x0\nf0 = x1")
@@ -245,6 +256,49 @@ class TestOutputSetEquivalence:
                 output_set_equivalent(x, y).verdict
                 == output_set_equivalent(y, x).verdict
             )
+
+
+def window_reference(wa: list[tuple[int, ...]], wb: list[tuple[int, ...]]) -> EquivalenceReport:
+    """The report on a pair with a Fibonacci side, read off the (n+1)-bit
+    windows ``streams(m, n + 1)`` of the first and second register.
+
+    A Fibonacci register's windows are the graph of its top feedback, so
+    they pass Moore's test and equal window sets mean equal stream sets:
+    the windows alone decide the verdict and the witness.
+    """
+    n = len(wa).bit_length() - 1
+    in_a, in_b = set(wa), set(wb)
+    unseen = [(x, "first", w) for x, w in enumerate(wa) if w not in in_b]
+    unseen += [(y, "second", w) for y, w in enumerate(wb) if w not in in_a]
+    if not unseen:
+        return EquivalenceReport("equivalent")
+    x, side, window = unseen[0]
+    return EquivalenceReport("not-equivalent", int_to_state(x, n), side, window)
+
+
+class TestFibonacciSide:
+    @pytest.mark.parametrize("top", ["x0", "x0 + x1*x2", "1 + x0 + x2"])
+    def test_prefix_bijection_not_triangular(self, top):
+        # SWAPPED's prefix map (x0, x2, x1) is a bijection, but output 1
+        # reads x2, so its prefixes are transposed and marked
+        fib = Nlfsr.fibonacci(3, Anf.parse(top))
+        wf, ws = streams(fib, 4), streams(SWAPPED, 4)
+        assert output_set_equivalent(fib, SWAPPED) == window_reference(wf, ws)
+        assert output_set_equivalent(SWAPPED, fib) == window_reference(ws, wf)
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_lowerings_above_hypothesis_sizes(self, n):
+        # a Galois form read off a profile is triangular, so the smallest
+        # unmatched prefix of a source it does not match, put first, comes
+        # from the bit-sliced minimum; toggling x1 + x2 leaves unmatched
+        # prefixes whose least (2) is not the least read from bit 0 up (4)
+        fib, _, galois, _ = random_lowering(random.Random(n), n)
+        sources = [fib] + [Nlfsr.fibonacci(n, fib.feedbacks[-1] ^ Anf.parse(t)) for t in ("x1*x2", "x1 + x2")]
+        wg = streams(galois, n + 1)
+        for source in sources:
+            ws = streams(source, n + 1)
+            assert output_set_equivalent(source, galois) == window_reference(ws, wg)
+            assert output_set_equivalent(galois, source) == window_reference(wg, ws)
 
 
 class TestRefinementFallback:
