@@ -33,6 +33,9 @@ class ParseError(ValueError):
 class Monomial:
     """One product-term: an AND of distinct variables, or the constant 1.
 
+    Every index must be a non-negative ``int``; a ``bool`` is refused
+    although Python counts it as one.  Each index given is checked before
+    repeats are removed, so the outcome does not depend on their order.
     Indices are kept as a sorted duplicate-free tuple; x_k * x_k = x_k
     over GF(2), so repeats collapse at construction.  The empty tuple is
     the constant 1.
@@ -41,11 +44,19 @@ class Monomial:
     __slots__ = ("indices",)
 
     def __init__(self, indices: Iterable[int] = ()):
-        idx = tuple(sorted(set(indices)))
+        idx = tuple(indices)
         for k in idx:
             if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"variable index must be a non-negative integer, got {k!r}")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", tuple(sorted(set(idx))))
+
+    @classmethod
+    def _trusted(cls, indices: Sequence[int]) -> Monomial:
+        """The monomial of indices already checked, in any order and with repeats."""
+        t = cls.__new__(cls)
+        idx = tuple(sorted(set(indices))) if len(indices) > 1 else tuple(indices)
+        object.__setattr__(t, "indices", idx)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -99,8 +110,11 @@ def is_ascii_digits(text: str) -> bool:
 def digits_value(digits: str) -> int | None:
     """The value of a run of ASCII digits, or None past 4300 significant
     digits, which int() refuses and no register index or size reaches."""
-    digits = digits.lstrip("0") or "0"
-    return int(digits) if len(digits) <= 4300 else None
+    if len(digits) > 4300:
+        digits = digits.lstrip("0")
+        if len(digits) > 4300:
+            return None
+    return int(digits or "0")
 
 
 class Anf:
@@ -222,32 +236,34 @@ class Anf:
         """Parse polynomial text (grammar at ``_FOLLOW``); with n_vars given, indices stay below it."""
         if text.strip() == "0":
             return cls.zero()
-        terms: list[Monomial] = []
+        # the scanner checks every index, so terms skip the constructors' checks
+        terms: set[Monomial] = set()
         factors: list[int] = []
         prev = ""
+        follow = _FOLLOW[prev]
         for m in _TOKEN.finditer(text):
-            tok, at = m[1], m.start(1)
+            tok = m[1]
             if tok is None:
                 raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
-            follow = _FOLLOW[prev[:1]]
-            if tok[0] not in follow:
+            kind = tok[0]
+            if kind not in follow:
                 where = f"after {prev!r}" if prev else "at the start"
                 expected = " or ".join(map(repr, follow))
-                raise ParseError(f"expected {expected} {where}, got {tok!r}", at)
-            if tok[0] == "x":
+                raise ParseError(f"expected {expected} {where}, got {tok!r}", m.start(1))
+            if kind == "x":
                 k = digits_value(tok[1:])
                 if k is None or n_vars is not None and k >= n_vars:
                     limit = "any register" if k is None else f"{n_vars} variables"
-                    raise ParseError(f"variable {tok} out of range for {limit}", at)
+                    raise ParseError(f"variable {tok} out of range for {limit}", m.start(1))
                 factors.append(k)
-            elif tok == "+":
-                terms.append(Monomial(factors))
+            elif kind == "+":
+                terms ^= {Monomial._trusted(factors)}
                 factors = []
-            prev = tok
+            prev, follow = tok, _FOLLOW[kind]
         if not prev:
             raise ParseError("empty polynomial", 0)
         # a term is complete exactly where a '+' may follow
-        if "+" not in _FOLLOW[prev[0]]:
+        if "+" not in follow:
             raise ParseError("expected a factor", len(text))
-        terms.append(Monomial(factors))
-        return cls(terms)
+        terms ^= {Monomial._trusted(factors)}
+        return cls._wrap(frozenset(terms))

@@ -19,7 +19,6 @@ import functools
 import os
 import sys
 from itertools import islice
-from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import samples
@@ -33,9 +32,10 @@ T = TypeVar("T")
 
 
 def _load(path: str, parse: Callable[[str], T]) -> T:
-    """Read a register or profile file; errors name the file."""
+    """Read a register or profile file as UTF-8, whatever the locale; errors name the file."""
     try:
-        text = Path(path).read_text()
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ValueError(f"cannot read {path}: {e}") from None
     try:

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .anf import Anf, digits_value, is_ascii_digits
+from .anf import Anf, Monomial, digits_value, is_ascii_digits
 
 #: Largest register size for which whole-state-space scans run.
 EXHAUSTIVE_LIMIT = 20
@@ -173,22 +173,27 @@ class Nlfsr:
         if len(fbs) < 2:
             raise ValueError(f"register needs at least 2 bits, got {len(fbs)}")
         n = len(fbs)
+        zero = Anf.zero()  # one object for every pure shift's residual
+        residuals: list[Anf] = []
+        masks: list[tuple[int, tuple[int, ...]]] = []
         for i, f in enumerate(fbs):
             if not isinstance(f, Anf):
                 raise TypeError(f"feedback {i} is not an Anf")
-            high = max(f.support(), default=-1)
+            # indices are sorted, so a term's last one is its highest
+            high = max((t.indices[-1] for t in f.terms if t.indices), default=-1)
             if high >= n:
                 raise ValueError(f"feedback f{i} reads x{high} but the register has {n} bits")
-        zero = Anf.zero()  # one object for every pure shift's residual
-        residuals = tuple(f ^ Anf.var((i + 1) % n) or zero for i, f in enumerate(fbs))
+            # f's terms were checked when f was built, and the tap is an index in 0..n-1
+            r = f.terms ^ {Monomial._trusted(((i + 1) % n,))}
+            if r:
+                residuals.append(Anf._wrap(r))
+                masks.append((i, tuple(sum(1 << k for k in t.indices) for t in r)))
+            else:
+                residuals.append(zero)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "feedbacks", fbs)
-        masks = tuple(
-            (i, tuple(sum(1 << k for k in t.indices) for t in r.terms))
-            for i, r in enumerate(residuals) if r
-        )
-        object.__setattr__(self, "_residuals", residuals)
-        object.__setattr__(self, "_residual_masks", masks)
+        object.__setattr__(self, "_residuals", tuple(residuals))
+        object.__setattr__(self, "_residual_masks", tuple(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("Nlfsr is immutable")

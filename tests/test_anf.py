@@ -35,12 +35,15 @@ class TestMonomial:
         assert str(m) == "1"
         assert Anf.one().evaluate((0, 0)) == 1
 
-    @pytest.mark.parametrize("index", [-1, True, False])
+    @pytest.mark.parametrize("index", [-1, True, False, 1.0, "a", None])
     def test_bad_index_rejected(self, index):
         # a bool is an int to isinstance, but x1 would print as xTrue,
-        # text that no parser accepts
-        with pytest.raises(ValueError):
-            Monomial([index])
+        # text that no parser accepts; beside a good index, in either
+        # order, it is refused before a set can merge True or 1.0 with 1
+        # or sorting can fail on "a" or None
+        for indices in ([index], [1, index], [index, 1]):
+            with pytest.raises(ValueError, match="variable index must be a non-negative integer"):
+                Monomial(indices)
 
     def test_shift_below_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -247,6 +250,19 @@ class TestText:
         with pytest.raises(ParseError):
             Anf.parse("x4", n_vars=4)
         assert Anf.parse("x3", n_vars=4) == Anf.var(3)
+
+    @given(st.data())
+    def test_parse_equals_the_public_constructors(self, data):
+        # repeated factors (x1*x1) and repeated terms (x1 + x1), which cancel,
+        # are likely with indices below 4; the empty term is the constant 1
+        terms = data.draw(st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=8))
+        gap = st.sampled_from(["", " ", "  ", "\t"])
+
+        def spaced(parts, sep):
+            return sep.join(data.draw(gap) + part + data.draw(gap) for part in parts)
+
+        text = spaced([spaced([f"x{k}" for k in t], "*") if t else "1" for t in terms], "+")
+        assert Anf.parse(text) == Anf(Monomial(t) for t in terms)
 
     # indices up to 120 so that multi-digit variable names are covered too
     @given(st.frozensets(st.frozensets(st.integers(0, 120), max_size=4).map(Monomial), max_size=8).map(Anf))

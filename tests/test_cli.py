@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -131,6 +132,23 @@ class TestSimulate:
         p.write_bytes(b"n = 2\nf1 = x0\xff\nf0 = x1\n")
         assert main(["simulate", str(p), "--init", "01", "--steps", "1"]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read {p}: ")
+
+    def test_file_is_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # x then ARABIC-INDIC DIGIT ONE: decodes as UTF-8, then fails the grammar
+        p = tmp_path / "digit.reg"
+        p.write_bytes(b"n = 2\nf1 = x\xd9\xa1\nf0 = x1\n")
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(ROOT / "src"),
+            LC_ALL="C",
+            PYTHONCOERCECLOCALE="0",
+            PYTHONUTF8="0",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlfsr", "period", str(p)], env=env, capture_output=True
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {p}: line 2: unexpected character 'x' (at position 0)\n".encode()
 
 
 class TestTransform:

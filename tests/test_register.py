@@ -95,6 +95,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Nlfsr([Anf.var(1), Anf.parse("x0 + x4")])
 
+    def test_support_beyond_register_inside_a_product(self):
+        # the highest index of a product term is checked, not its first
+        with pytest.raises(ValueError, match="feedback f1 reads x5 but the register has 4 bits"):
+            Nlfsr([Anf.var(1), Anf.parse("x0*x5 + x2"), Anf.var(3), Anf.var(0)])
+
     def test_non_anf_feedback_refused(self):
         with pytest.raises(TypeError, match="feedback 1 is not an Anf"):
             Nlfsr([Anf.var(1), "x0"])
@@ -132,6 +137,16 @@ class TestConstruction:
             assert copied == value
             with pytest.raises(AttributeError):
                 copied.note = 1
+
+    @given(registers(max_n=12))
+    def test_stored_split_matches_the_feedbacks(self, m):
+        # registers that break the window condition included
+        masks = dict(m._residual_masks)
+        for i, f in enumerate(m.feedbacks):
+            r = f ^ Anf.var((i + 1) % m.n)
+            assert m._residuals[i] == r
+            assert set(masks.get(i, ())) == {sum(1 << k for k in t.indices) for t in r.terms}
+        assert list(masks) == [i for i, r in enumerate(m._residuals) if r]
 
     def test_equality_is_polynomial_exact(self):
         assert Nlfsr.parse(str(A)) == A
