@@ -225,7 +225,7 @@ class Nlfsr:
 
     def step_packed(self, x: int) -> int:
         """step() on a packed state, one orbit: rotate right one bit, then XOR
-        each nonzero residual in at its bit.  ``walk_columns`` steps all states."""
+        each nonzero residual in at its bit.  ``walk_columns`` steps many states at once."""
         y = (x >> 1) | (x & 1) << (self.n - 1)
         for i, term_masks in self._residual_masks:
             acc = 0
@@ -368,20 +368,28 @@ def _columns(n: int) -> list[int]:
     return [_tile(((1 << (1 << k)) - 1) << (1 << k), 2 << k, 1 << n) for k in range(n)]
 
 
-def walk_columns(m: Nlfsr, steps: int) -> tuple[list[int], list[int]]:
-    """Step every state of the register ``steps`` times at once, bit-sliced.
+def walk_columns(
+    m: Nlfsr, steps: int, start: Sequence[int] | None = None, ones: int | None = None
+) -> tuple[list[int], list[int]]:
+    """Step many states of the register ``steps`` times at once, bit-sliced.
 
-    Each variable x_k over all 2^n states is one 2^n-bit column (bit x
-    of the column is bit k of x).  A step rotates the columns and XORs
-    each nonzero residual, an XOR of ANDs of columns, in at its bit.
-    Returns ``(outputs, state)``: outputs[t] is column 0 before step t,
-    so bit x of it is the output at time t from state x, and state[i] is
-    column i of the states reached after the last step.  ``transpose``
-    turns either list into one lane per state.
+    Each variable x_k over W lanes is one W-bit column: bit j of
+    ``start[k]`` is bit k of lane j's start state, and ``ones`` is the
+    W-lane all-ones column, the value of a constant term.  With no start
+    columns the walk takes the whole state space: it calls
+    ``check_limit`` before it builds any column, then starts from
+    ``_columns(n)`` with the full 2^n-lane mask, so lane x starts at
+    state x.  A step rotates the columns and XORs each nonzero residual,
+    an XOR of ANDs of columns, in at its bit.  Returns ``(outputs,
+    state)``: outputs[t] is column 0 before step t, so bit j of it is the
+    output at time t from lane j, and state[i] is column i of the states
+    reached after the last step.  ``transpose`` turns either list into
+    one lane per state.
     """
-    check_limit(m.n)
-    state = _columns(m.n)
-    ones = (1 << (1 << m.n)) - 1
+    if start is None:
+        check_limit(m.n)
+        start, ones = _columns(m.n), (1 << (1 << m.n)) - 1
+    state = list(start)
     outputs = []
     for _ in range(steps):
         outputs.append(state[0])
@@ -432,6 +440,10 @@ def transpose(columns: Sequence[int], n: int) -> memoryview:
     return memoryview(lanes).cast("I")
 
 
+#: log2 of the states in one slice of ``successor_table``.
+_SLICE_BITS = 15
+
+
 def successor_table(m: Nlfsr) -> memoryview:
     """Entry x is the packed successor of packed state x, over all 2^n states.
 
@@ -443,8 +455,27 @@ def successor_table(m: Nlfsr) -> memoryview:
     ``brute_force_match``.  It is a read-only
     view of one 4-byte lane per state, and its ``tolist()`` equals
     ``[m.step_packed(x) for x in range(1 << m.n)]``.
+
+    The limit is checked before any column is built.  Up to 2^15 states
+    the table is one whole-space walk and its transpose.  Above that it
+    is built one slice of 2^15 states at a time, so that the walk's
+    columns and the transpose's temporaries stay those of one slice: a
+    slice fixes the top n - 15 bits, its start columns are
+    ``_columns(15)`` plus one all-ones or all-zero column per fixed bit,
+    and its transposed lanes are copied into their place in the table.
     """
-    return transpose(walk_columns(m, 1)[1], m.n).toreadonly()
+    n = m.n
+    check_limit(n)
+    width = _SLICE_BITS
+    if n <= width:
+        return transpose(walk_columns(m, 1)[1], n).toreadonly()
+    low, ones = _columns(width), (1 << (1 << width)) - 1
+    table = memoryview(bytearray(4 << n)).cast("I")
+    for top in range(1 << (n - width)):
+        fixed = [ones if top >> k & 1 else 0 for k in range(n - width)]
+        state = walk_columns(m, 1, low + fixed, ones)[1]
+        table[top << width : (top + 1) << width] = transpose(state, width)
+    return table.toreadonly()
 
 
 def require_well_formed(m: Nlfsr) -> None:

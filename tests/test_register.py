@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from nlfsr import cli, samples
+from nlfsr import cli, register, samples
 from nlfsr.anf import Anf, Monomial, ParseError
+from nlfsr.generate import random_lowering
 from nlfsr.register import (
     EXHAUSTIVE_LIMIT,
     Nlfsr,
@@ -573,6 +575,35 @@ class TestSuccessorTable:
             table[0] = 1
         assert table[0] == reference_step(A, 0)
 
+    def check_every_slice_width(self, m: Nlfsr) -> None:
+        # widths below n build the table slice by slice, width n in one walk
+        expected = [reference_step(m, x) for x in range(1 << m.n)]
+        for width in range(1, m.n + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(register, "_SLICE_BITS", width)
+                assert successor_table(m).tolist() == expected, width
+
+    @given(registers(max_n=9))
+    def test_every_slice_width(self, m):
+        self.check_every_slice_width(m)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_slice_width_of_a_non_bijective_register(self, n):
+        m = edge_register(n)
+        assert len(set(successor_table(m).tolist())) < 1 << n
+        self.check_every_slice_width(m)
+
+    def test_peak_memory_is_the_table_and_one_slice(self):
+        # the 1 MB table of n = 18, plus the walk and transpose of one 2^15-state slice
+        m = random_lowering(random.Random(1), 18)[2]
+        tracemalloc.start()
+        try:
+            successor_table(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4 << 18 < peak < 1.6e6
+
 
 class TestWalk:
     """The (n+1)-bit output windows and the (n+1)-step jump of one walk
@@ -608,6 +639,19 @@ class TestWalk:
         self.check_walk(m)
         windows = transpose(walk_columns(m, n + 1)[0], n).tolist()
         assert all(0 < sum(w >> t & 1 for w in windows) < 1 << n for t in range(n + 1))
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_walk_from_given_start_columns(self, n):
+        # any start states, one per lane, in a lane count that is not a power of two
+        m = edge_register(n)
+        rng = random.Random(n)
+        starts = [rng.getrandbits(n) for _ in range(37)]
+        start = [sum((x >> k & 1) << j for j, x in enumerate(starts)) for k in range(n)]
+        outputs, state = walk_columns(m, n + 1, start, (1 << 37) - 1)
+        for j, x in enumerate(starts):
+            bits = m.output_sequence(int_to_state(x, n), n + 1)
+            assert [c >> j & 1 for c in outputs] == bits
+            assert transposed(state, j) == stepped(m, x, n + 1)
 
     def test_successor_table_is_the_one_step_walk(self):
         m = edge_register(9)

@@ -434,6 +434,13 @@ class TestPeriodCensus:
             census = period_census(m)
             assert census.total == 1 << m.n
 
+    def test_sliced_table_census_of_a_lowering_pair(self):
+        # at n = 17 the successor table is built from four slices
+        fib, _, galois, _ = random_lowering(random.Random(1), 17)
+        census = period_census(galois)
+        assert census == period_census(fib)
+        assert census.total == 1 << 17
+
     def test_tails_reported_separately(self):
         m = Nlfsr.parse("n = 2\nf1 = x0*x1\nf0 = x1")
         census = period_census(m)
