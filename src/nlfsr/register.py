@@ -375,17 +375,19 @@ def walk_columns(
 
     Each variable x_k over W lanes is one W-bit column: bit j of
     ``start[k]`` is bit k of lane j's start state, and ``ones`` is the
-    W-lane all-ones column, the value of a constant term.  With no start
-    columns the walk takes the whole state space: it calls
-    ``check_limit`` before it builds any column, then starts from
-    ``_columns(n)`` with the full 2^n-lane mask, so lane x starts at
-    state x.  A step rotates the columns and XORs each nonzero residual,
-    an XOR of ANDs of columns, in at its bit.  Returns ``(outputs,
-    state)``: outputs[t] is column 0 before step t, so bit j of it is the
-    output at time t from lane j, and state[i] is column i of the states
-    reached after the last step.  ``transpose`` turns either list into
-    one lane per state.
+    W-lane all-ones column, the value of a constant term; the two come
+    together or not at all.  With neither the walk takes the whole state
+    space: it calls ``check_limit`` before it builds any column, then
+    starts from ``_columns(n)`` with the full 2^n-lane mask, so lane x
+    starts at state x.  A step rotates the columns and XORs each nonzero
+    residual, an XOR of ANDs of columns, in at its bit.  Returns
+    ``(outputs, state)``: outputs[t] is column 0 before step t, so bit j
+    of it is the output at time t from lane j, and state[i] is column i
+    of the states reached after the last step.  ``transpose`` turns
+    either list into one lane per state.
     """
+    if (start is None) != (ones is None):
+        raise TypeError("walk_columns takes start columns together with their lane mask ones")
     if start is None:
         check_limit(m.n)
         start, ones = _columns(m.n), (1 << (1 << m.n)) - 1
@@ -456,19 +458,17 @@ def successor_table(m: Nlfsr) -> memoryview:
     view of one 4-byte lane per state, and its ``tolist()`` equals
     ``[m.step_packed(x) for x in range(1 << m.n)]``.
 
-    The limit is checked before any column is built.  Up to 2^15 states
-    the table is one whole-space walk and its transpose.  Above that it
-    is built one slice of 2^15 states at a time, so that the walk's
-    columns and the transpose's temporaries stay those of one slice: a
-    slice fixes the top n - 15 bits, its start columns are
-    ``_columns(15)`` plus one all-ones or all-zero column per fixed bit,
-    and its transposed lanes are copied into their place in the table.
+    The limit is checked before any column is built.  The table is built
+    one slice of up to 2^15 states at a time, so that the walk's columns
+    and the transpose's temporaries stay those of one slice: a slice
+    fixes the top n - 15 bits, or none up to n = 15, its start columns
+    are ``_columns(min(n, 15))`` plus one all-ones or all-zero column
+    per fixed bit, and its transposed lanes are copied into their place
+    in the table.
     """
     n = m.n
     check_limit(n)
-    width = _SLICE_BITS
-    if n <= width:
-        return transpose(walk_columns(m, 1)[1], n).toreadonly()
+    width = min(n, _SLICE_BITS)
     low, ones = _columns(width), (1 << (1 << width)) - 1
     table = memoryview(bytearray(4 << n)).cast("I")
     for top in range(1 << (n - width)):

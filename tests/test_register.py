@@ -653,6 +653,13 @@ class TestWalk:
             assert [c >> j & 1 for c in outputs] == bits
             assert transposed(state, j) == stepped(m, x, n + 1)
 
+    def test_start_columns_come_with_their_lane_mask(self):
+        m = edge_register(3)
+        with pytest.raises(TypeError, match="lane mask"):
+            walk_columns(m, 1, _columns(3))
+        with pytest.raises(TypeError, match="lane mask"):
+            walk_columns(m, 1, ones=0xFF)
+
     def test_successor_table_is_the_one_step_walk(self):
         m = edge_register(9)
         outputs, state = walk_columns(m, 1)
