@@ -362,35 +362,31 @@ def _tile(word: int, width: int, size: int) -> int:
     return int.from_bytes(word.to_bytes(width // 8, "little") * (size // width), "little")
 
 
-def _columns(n: int) -> list[int]:
-    """Column k of the state space: a 2^n-bit int whose bit x is bit k of x,
-    so 2^k zeros then 2^k ones, tiled."""
-    return [_tile(((1 << (1 << k)) - 1) << (1 << k), 2 << k, 1 << n) for k in range(n)]
+def state_space(n: int) -> tuple[list[int], int]:
+    """The start of every whole-space walk: ``(columns, ones)``, from which
+    ``walk_columns`` starts lane x at state x.  The limit is checked before
+    any column is built.  Column k is a 2^n-bit int whose bit x is bit k of
+    x, so 2^k zeros then 2^k ones, tiled; ones is the 2^n-lane mask."""
+    check_limit(n)
+    columns = [_tile(((1 << (1 << k)) - 1) << (1 << k), 2 << k, 1 << n) for k in range(n)]
+    return columns, (1 << (1 << n)) - 1
 
 
 def walk_columns(
-    m: Nlfsr, steps: int, start: Sequence[int] | None = None, ones: int | None = None
+    m: Nlfsr, steps: int, start: Sequence[int], ones: int
 ) -> tuple[list[int], list[int]]:
     """Step many states of the register ``steps`` times at once, bit-sliced.
 
     Each variable x_k over W lanes is one W-bit column: bit j of
     ``start[k]`` is bit k of lane j's start state, and ``ones`` is the
-    W-lane all-ones column, the value of a constant term; the two come
-    together or not at all.  With neither the walk takes the whole state
-    space: it calls ``check_limit`` before it builds any column, then
-    starts from ``_columns(n)`` with the full 2^n-lane mask, so lane x
-    starts at state x.  A step rotates the columns and XORs each nonzero
-    residual, an XOR of ANDs of columns, in at its bit.  Returns
-    ``(outputs, state)``: outputs[t] is column 0 before step t, so bit j
-    of it is the output at time t from lane j, and state[i] is column i
-    of the states reached after the last step.  ``transpose`` turns
-    either list into one lane per state.
+    W-lane all-ones column, the value of a constant term.  A whole-space
+    walk starts from ``state_space(n)``, which checks the limit.  A step
+    rotates the columns and XORs each nonzero residual, an XOR of ANDs of
+    columns, in at its bit.  Returns ``(outputs, state)``: outputs[t] is
+    column 0 before step t, so bit j of it is the output at time t from
+    lane j, and state[i] is column i of the states reached after the last
+    step.  ``transpose`` turns either list into one lane per state.
     """
-    if (start is None) != (ones is None):
-        raise TypeError("walk_columns takes start columns together with their lane mask ones")
-    if start is None:
-        check_limit(m.n)
-        start, ones = _columns(m.n), (1 << (1 << m.n)) - 1
     state = list(start)
     outputs = []
     for _ in range(steps):
@@ -449,27 +445,23 @@ _SLICE_BITS = 15
 def successor_table(m: Nlfsr) -> memoryview:
     """Entry x is the packed successor of packed state x, over all 2^n states.
 
-    This table, the one-step case of ``walk_columns``, starts every
-    whole-state-space scan but three oracles, which read output windows
-    of ``walk_columns`` instead: the equivalence oracle (the windows of
-    both registers from ``verify._windows``, or against a Fibonacci
-    register those of the other alone), ``output_classes`` and
-    ``brute_force_match``.  It is a read-only
-    view of one 4-byte lane per state, and its ``tolist()`` equals
+    This table is the one-step case of ``walk_columns``, and the cycle
+    census walks it.  It is a read-only view of one 4-byte lane per
+    state, and its ``tolist()`` equals
     ``[m.step_packed(x) for x in range(1 << m.n)]``.
 
     The limit is checked before any column is built.  The table is built
     one slice of up to 2^15 states at a time, so that the walk's columns
     and the transpose's temporaries stay those of one slice: a slice
     fixes the top n - 15 bits, or none up to n = 15, its start columns
-    are ``_columns(min(n, 15))`` plus one all-ones or all-zero column
+    are ``state_space(min(n, 15))`` plus one all-ones or all-zero column
     per fixed bit, and its transposed lanes are copied into their place
     in the table.
     """
     n = m.n
     check_limit(n)
     width = min(n, _SLICE_BITS)
-    low, ones = _columns(width), (1 << (1 << width)) - 1
+    low, ones = state_space(width)
     table = memoryview(bytearray(4 << n)).cast("I")
     for top in range(1 << (n - width)):
         fixed = [ones if top >> k & 1 else 0 for k in range(n - width)]

@@ -1,8 +1,9 @@
 """Ground-truth oracles: exhaustive simulation over whole state spaces.
 
 These checks never use the algebraic machinery they are meant to judge.
-One bit-sliced walk per register steps all 2^n states n + 1 times at
-once and labels each state with its (n+1)-bit output window.  Each
+One bit-sliced walk per register, started from ``state_space(n)``, which
+checks the size limit, steps all 2^n states n + 1 times at once and
+labels each state with its (n+1)-bit output window.  Each
 side's labels are marked in one bytearray.  Only equal marks that fail
 Moore's test (two windows differ only in their last bit) are refined,
 into exact output classes, by pointer doubling from the (n+1)-step jump
@@ -32,6 +33,7 @@ from .register import (
     State,
     check_state,
     int_to_state,
+    state_space,
     state_to_int,
     successor_table,
     transpose,
@@ -46,7 +48,7 @@ def _windows(m: Nlfsr) -> tuple[memoryview, list[int]]:
     with bit t the output at time t, and the columns of the states the
     walk ends on, which give the (n+1)-step jump.
     """
-    outputs, state = walk_columns(m, m.n + 1)
+    outputs, state = walk_columns(m, m.n + 1, *state_space(m.n))
     return transpose(outputs, m.n), state
 
 
@@ -211,8 +213,8 @@ def _against_fibonacci(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
         fib, g, fib_side, g_side = b, a, "second", "first"
     n = g.n
     top = fib.feedbacks[-1]
-    outputs, _ = walk_columns(g, n + 1)
-    ones = (1 << (1 << n)) - 1
+    start, ones = state_space(n)
+    outputs, _ = walk_columns(g, n + 1, start, ones)
     d = outputs[n] ^ top.evaluate(outputs[:n], ones)
     if _triangular(outputs[:n], ones):
         p = _smallest_prefix(outputs[:n], d)

@@ -21,11 +21,11 @@ from nlfsr.register import (
     Nlfsr,
     StructureError,
     Violation,
-    _columns,
     format_state,
     int_to_state,
     parse_state,
     require_well_formed,
+    state_space,
     state_to_int,
     successor_table,
     transpose,
@@ -613,7 +613,7 @@ class TestWalk:
         # every state follows the reference_step table n + 1 times, and a
         # sample of states is stepped one by one through the references
         n = m.n
-        outputs, state = walk_columns(m, n + 1)
+        outputs, state = walk_columns(m, n + 1, *state_space(n))
         windows, jump = transpose(outputs, n).tolist(), transpose(state, n).tolist()
         succ = [reference_step(m, x) for x in range(1 << n)]
         ref = [0] * (1 << n)
@@ -637,7 +637,7 @@ class TestWalk:
         # n + 1 window bits and n state bits start or end a lane byte here
         m = edge_register(n)
         self.check_walk(m)
-        windows = transpose(walk_columns(m, n + 1)[0], n).tolist()
+        windows = transpose(walk_columns(m, n + 1, *state_space(n))[0], n).tolist()
         assert all(0 < sum(w >> t & 1 for w in windows) < 1 << n for t in range(n + 1))
 
     @pytest.mark.parametrize("n", [2, 5, 9])
@@ -655,14 +655,15 @@ class TestWalk:
 
     def test_start_columns_come_with_their_lane_mask(self):
         m = edge_register(3)
-        with pytest.raises(TypeError, match="lane mask"):
-            walk_columns(m, 1, _columns(3))
-        with pytest.raises(TypeError, match="lane mask"):
-            walk_columns(m, 1, ones=0xFF)
+        columns, ones = state_space(3)
+        with pytest.raises(TypeError, match="'ones'"):
+            walk_columns(m, 1, columns)
+        with pytest.raises(TypeError, match="'start'"):
+            walk_columns(m, 1, ones=ones)
 
     def test_successor_table_is_the_one_step_walk(self):
         m = edge_register(9)
-        outputs, state = walk_columns(m, 1)
+        outputs, state = walk_columns(m, 1, *state_space(9))
         assert transpose(outputs, 9).tolist() == [x & 1 for x in range(1 << 9)]
         assert transpose(state, 9).tolist() == successor_table(m).tolist()
 
@@ -686,9 +687,12 @@ class TestTranspose:
                 assert lanes == [transposed(columns, x) for x in range(1 << n)]
 
     def test_state_space_columns_transpose_to_the_states(self):
-        # lane x of the state-space columns is x itself, at every size a scan may take
+        # lane x of the state-space columns is x itself, and the mask sets
+        # every lane, at every size a scan may take
         for n in range(2, EXHAUSTIVE_LIMIT + 1):
-            assert transpose(_columns(n), n) == array("I", range(1 << n)), n
+            columns, ones = state_space(n)
+            assert transpose(columns, n) == array("I", range(1 << n)), n
+            assert ones == (1 << (1 << n)) - 1, n
 
     def test_largest_size_samples(self):
         # 21 columns reach the third lane byte at the scan limit

@@ -13,6 +13,7 @@ from nlfsr.register import (
     format_state,
     int_to_state,
     parse_state,
+    state_space,
     state_to_int,
     successor_table,
 )
@@ -223,7 +224,7 @@ class TestOutputSetEquivalence:
         names = ("walk_columns", "transpose", "_marks", "_moore", "_refined_classes")
         calls = {name: record_calls(verify, name) for name in names}
         output_set_equivalent(a, b)
-        assert [m for (m, _), _ in calls["walk_columns"]] == [walked]
+        assert [args[0] for args, _ in calls["walk_columns"]] == [walked]
         assert [len(calls[name]) for name in names[1:]] == [marked, marked, 0, 0]
 
     def test_size_mismatch(self):
@@ -348,7 +349,7 @@ class TestRefinementFallback:
         a, b = (Nlfsr.parse(text) for text in self.CASES[case])
         walked = record_calls(verify, "walk_columns")
         output_set_equivalent(a, b)
-        assert [m for (m, _), _ in walked] == [a, b]
+        assert [args[0] for args, _ in walked] == [a, b]
 
 
 def random_feedback(rng: random.Random, n: int) -> Anf:
@@ -495,6 +496,7 @@ class TestPeriodCensus:
 # Every whole-state-space entry point, called on a register above
 # EXHAUSTIVE_LIMIT.  Each must refuse before it steps a single state.
 LIMIT_GUARDED = {
+    "state_space": lambda m: state_space(m.n),
     "successor_table": successor_table,
     "period_census": period_census,
     "step_is_bijection": step_is_bijection,
@@ -506,18 +508,33 @@ LIMIT_GUARDED = {
 
 @pytest.mark.parametrize("name", LIMIT_GUARDED)
 def test_limit_refused_before_any_step(name, monkeypatch):
-    # every entry point builds state-space columns through walk_columns
-    # and none steps states one by one; both are made to fail, so a limit
+    # every entry point builds its start columns with register._tile and
+    # none steps states one by one; both are made to fail, so a limit
     # check that comes after either is caught
     def no_stepping(self, x):
         raise AssertionError("stepped a state before the limit check")
 
-    def no_columns(n):
-        raise AssertionError("built table columns before the limit check")
+    def no_columns(word, width, size):
+        raise AssertionError("built columns before the limit check")
 
     monkeypatch.setattr(Nlfsr, "step_packed", no_stepping)
-    monkeypatch.setattr(register, "_columns", no_columns)
+    monkeypatch.setattr(register, "_tile", no_columns)
     # just above the cap, and above the 32 bits a 4-byte lane could hold
     for n in (EXHAUSTIVE_LIMIT + 1, 33):
         with pytest.raises(ExhaustiveLimitError, match=f"capped at {EXHAUSTIVE_LIMIT}"):
             LIMIT_GUARDED[name](Nlfsr.fibonacci(n, Anf.var(0)))
+
+
+def test_whole_space_scans_run_at_the_cap():
+    # the cap is inclusive: at n = EXHAUSTIVE_LIMIT every start is built
+    # and walked, on a lowering whose answers the construction gives
+    n = EXHAUSTIVE_LIMIT
+    fib, _, galois, _ = random_lowering(random.Random(1), n)
+    toggled = Nlfsr.fibonacci(n, fib.feedbacks[-1] ^ Anf([Monomial((1, 2))]))
+    assert output_set_equivalent(fib, galois) == EquivalenceReport("equivalent")
+    assert output_set_equivalent(galois, toggled).verdict == "not-equivalent"
+    # neither side is Fibonacci, so both registers are walked and marked
+    assert output_set_equivalent(galois, galois) == EquivalenceReport("equivalent")
+    census = period_census(galois)
+    assert census.total == 1 << n
+    assert census.tail_states == 0
