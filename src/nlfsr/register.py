@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .anf import Anf, Monomial, digits_value, is_ascii_digits
@@ -403,6 +404,16 @@ def walk_columns(
 _DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
+@lru_cache(maxsize=1)
+def _swap_masks(padded: int) -> tuple[tuple[int, int], ...]:
+    """``_DELTA_SWAPS`` with each mask tiled over a padded-byte int.
+
+    Only the last lane count's masks are kept, so every group of a
+    ``transpose`` and every slice of ``successor_table`` share one build.
+    """
+    return tuple((shift, _tile(mask, 64, 8 * padded)) for shift, mask in _DELTA_SWAPS)
+
+
 def transpose(columns: Sequence[int], n: int) -> memoryview:
     """Lane x packs bit x of every 2^n-bit column, column i into bit i.
 
@@ -415,13 +426,14 @@ def transpose(columns: Sequence[int], n: int) -> memoryview:
     7-3), after which byte x holds bit x of the eight columns, and the
     bytes are written as one byte plane of the lanes.  Below n = 3 the
     states are padded to one whole byte and the plane is cut back to 2^n
-    entries.  Each mask is built when its swap needs it, so that peak
-    memory stays near that of the columns and lanes.  The lanes come back
-    as a memoryview of unsigned ints, so that the columns can be freed
-    before ``tolist()`` reads them out.
+    entries.  The swaps' masks come from ``_swap_masks``, built once per
+    lane count, and the last count's three masks, max(2^n, 8) bytes each,
+    stay held.  The lanes come back as a memoryview of unsigned ints, so
+    that the columns can be freed before ``tolist()`` reads them out.
     """
     size = 1 << n
     padded = max(size, 8)
+    swaps = _swap_masks(padded)
     lanes = bytearray(4 * size)
     for j in range(0, len(columns), 8):
         words = bytearray(padded)  # byte 8w + k is byte w of column j + k
@@ -429,8 +441,8 @@ def transpose(columns: Sequence[int], n: int) -> memoryview:
             words[k::8] = column.to_bytes(padded // 8, "little")
         x = int.from_bytes(words, "little")
         del words
-        for shift, mask in _DELTA_SWAPS:
-            t = (x ^ (x >> shift)) & _tile(mask, 64, 8 * padded)
+        for shift, mask in swaps:
+            t = (x ^ (x >> shift)) & mask
             x ^= t ^ (t << shift)
         del t
         byte = j // 8 if sys.byteorder == "little" else 3 - j // 8
@@ -456,7 +468,8 @@ def successor_table(m: Nlfsr) -> memoryview:
     fixes the top n - 15 bits, or none up to n = 15, its start columns
     are ``state_space(min(n, 15))`` plus one all-ones or all-zero column
     per fixed bit, and its transposed lanes are copied into their place
-    in the table.
+    in the table.  Every slice has the same lane count, so all of them
+    share one build of the transpose's masks.
     """
     n = m.n
     check_limit(n)

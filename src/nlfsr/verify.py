@@ -14,8 +14,10 @@ Against a Fibonacci register, whose windows are the graph of its top
 feedback, only the other register is walked, and it is marked only when
 its n-bit output prefixes are not triangular in its state; a triangular
 prefix map is a bijection, so the walk's own columns decide.
-Cycle structure, and with it whether the update is a bijection, is
-decided by one walk over the full successor graph.
+Cycle structure comes from walks over the successor table: each walk
+first expects to close a cycle, as every walk of a bijection does, and
+only a walk that does not, which proves the update is not a bijection,
+sends the census back over the table to split tails from cycles.
 
 Everything is a pure function of immutable registers; scans over initial
 states can be partitioned freely and merged by min/union/sum.
@@ -303,14 +305,77 @@ class PeriodCensus:
 def period_census(m: Nlfsr) -> PeriodCensus:
     """Partition all states into cycles and tails by walking the successor graph.
 
+    ``_closed_walks`` walks the table as a bijection, in which every walk
+    closes a cycle.  If one walk does not close, the update is not a
+    bijection, and ``_tail_walks`` walks the same table again, splitting
+    each walk into its tail and the cycle it closes, if any.
+    """
+    succ = successor_table(m)
+    cycles = _closed_walks(succ)
+    if cycles is None:
+        return PeriodCensus(m.n, *_tail_walks(succ))
+    return PeriodCensus(m.n, cycles, 0)
+
+
+def step_is_bijection(m: Nlfsr) -> bool:
+    """Whether the update permutes the state space (no two states collide).
+
+    A map of a finite set to itself is a permutation exactly when every
+    element lies on a cycle, so when every walk of ``_closed_walks``
+    closes; it stops at the first walk that does not.
+    """
+    return _closed_walks(successor_table(m)) is not None
+
+
+#: Steps a census walk takes between looks at whether it has met a seen
+#: state.  CPython caches the ints up to 256, so counting these steps
+#: allocates nothing.
+_CHECK_STEPS = 256
+
+
+def _closed_walks(succ: memoryview) -> dict[int, int] | None:
+    """The cycles of a successor table, as ``PeriodCensus.cycles``, when
+    every state lies on one; otherwise None.
+
+    Each walk starts from the lowest unseen state and marks the states it
+    steps from until it is back at its start.  While every walk closes,
+    the seen states are whole cycles, so in a bijection a walk meets no
+    seen state before its start, and it is stepped ``_CHECK_STEPS`` times
+    between looks at its marks.  A walk that meets a seen state other
+    than its start has reached a state with two predecessors, or one of
+    an earlier cycle, and from there it only steps between seen states
+    and never reaches its start, so the next look ends it with None.
+    """
+    seen = bytearray(len(succ))
+    cycles: dict[int, int] = {}
+    start = seen.find(0)
+    while start >= 0:
+        x = start
+        length = 0
+        while not seen[x]:
+            for step in range(1, _CHECK_STEPS + 1):
+                seen[x] = 1
+                x = succ[x]
+                if x == start:
+                    break
+            length += step
+        if x != start:
+            return None
+        cycles[length] = cycles.get(length, 0) + length
+        start = seen.find(0, start)
+    return cycles
+
+
+def _tail_walks(succ: memoryview) -> tuple[dict[int, int], int]:
+    """The cycles of any successor table and the number of its tail states.
+
     Each walk runs from the next unseen state, marking states, until it
     meets a seen one, x.  A re-walk from the start, at most as long as
     the walk, finds x if the walk met itself there: the states before x
     are tail and the rest closed a new cycle (all of them when x is the
-    start, as in every walk of a bijection).  If the re-walk never meets
-    x, the walk ran into an earlier one and is all tail.
+    start).  If the re-walk never meets x, the walk ran into an earlier
+    one and is all tail.
     """
-    succ = successor_table(m)
     seen = bytearray(len(succ))
     cycles: dict[int, int] = {}
     tail_states = 0
@@ -332,13 +397,4 @@ def period_census(m: Nlfsr) -> PeriodCensus:
             cycles[length] = cycles.get(length, 0) + length
         tail_states += cut
         start = seen.find(0, start)
-    return PeriodCensus(m.n, cycles, tail_states)
-
-
-def step_is_bijection(m: Nlfsr) -> bool:
-    """Whether the update permutes the state space (no two states collide).
-
-    A map of a finite set to itself is a permutation exactly when every
-    element lies on a cycle, so this is the census with no tail states.
-    """
-    return period_census(m).tail_states == 0
+    return cycles, tail_states

@@ -1,5 +1,6 @@
-"""Hypothesis strategies, a reference stepper, stream prefixes and a register pair shared by the test modules."""
+"""Hypothesis strategies, a reference stepper, stream prefixes and the registers shared by the test modules."""
 
+import random
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -51,6 +52,24 @@ def reference_step(m: Nlfsr, x: int) -> int:
             parity ^= x & mask == mask
         out |= parity << i
     return out
+
+
+def edge_register(n: int) -> Nlfsr:
+    """Every bit gets a constant term, its shift tap, a product and a term
+    reading the top bit; the top two bits share one feedback, so the
+    update is never a bijection."""
+    rng = random.Random(n)
+    fbs = [
+        Anf([
+            Monomial(),
+            Monomial(((i + 1) % n,)),
+            Monomial(rng.sample(range(n), 2)),
+            Monomial((n - 1, rng.randrange(n))),
+        ])
+        for i in range(n)
+    ]
+    fbs[n - 1] = fbs[n - 2]
+    return Nlfsr(fbs)
 
 
 def streams(m: Nlfsr, length: int) -> list[tuple[int, ...]]:

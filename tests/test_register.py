@@ -34,7 +34,7 @@ from nlfsr.register import (
 from nlfsr.statemap import build_correction
 from nlfsr.transform import GaloisProfile, ShiftMove
 from nlfsr.verify import brute_force_match, output_set_equivalent, period_census
-from strategies import polys, profiles, reference_step, registers
+from strategies import edge_register, polys, profiles, reference_step, registers
 
 A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 GALOIS_A_FILE = Path(__file__).resolve().parent.parent / "demos" / "registers" / "galois_a.reg"
@@ -535,24 +535,6 @@ def stepped(m: Nlfsr, x: int, steps: int) -> int:
     for _ in range(steps):
         x = reference_step(m, x)
     return x
-
-
-def edge_register(n: int) -> Nlfsr:
-    """Every bit gets a constant term, its shift tap, a product and a term
-    reading the top bit; the top two bits share one feedback, so the
-    update is never a bijection."""
-    rng = random.Random(n)
-    fbs = [
-        Anf([
-            Monomial(),
-            Monomial(((i + 1) % n,)),
-            Monomial(rng.sample(range(n), 2)),
-            Monomial((n - 1, rng.randrange(n))),
-        ])
-        for i in range(n)
-    ]
-    fbs[n - 1] = fbs[n - 2]
-    return Nlfsr(fbs)
 
 
 class TestSuccessorTable:

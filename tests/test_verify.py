@@ -29,6 +29,7 @@ from nlfsr.verify import (
 )
 from strategies import (
     COUNTERS,
+    edge_register,
     fibonacci_registers,
     polys,
     profiles,
@@ -409,6 +410,52 @@ class TestPeriodCensus:
         m = Nlfsr.parse("n = 3\nf2 = x1\nf1 = x0\nf0 = 0")
         census = period_census(m)
         assert (census.cycles, census.tail_states) == ({1: 1}, 7)
+
+    def test_walks_close_cycles_below_the_lowest_tail_state(self):
+        # succ = [0, 8, 1, 9, 2, 2, 3, 3, 4, 12, 5, 13, 6, 6, 7, 7]: 0, then
+        # 1 -> 8 -> 4 -> 2 -> 1 and 3 -> 9 -> 12 -> 6 -> 3 close before 5 -> 2
+        # runs into an earlier walk, so the census walks the table again
+        m = Nlfsr.fibonacci(4, Anf.parse("x0 + x0*x2"))
+        census = period_census(m)
+        assert (census.cycles, census.tail_states) == census_reference(m) == ({1: 1, 4: 8}, 7)
+        assert not step_is_bijection(m)
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_non_bijective_walks_past_the_check_interval(self, n):
+        # edge_register's walk from 1 runs into the cycle of 0 at once; the
+        # Fibonacci register's top ignores x0, so x and x + 1 share a
+        # successor, and its walk from 0 meets itself only after more than
+        # _CHECK_STEPS states
+        fib = Nlfsr.fibonacci(n, Anf.parse("1 + x1 + x2*x5"))
+        walk, x = set(), 0
+        while x not in walk:
+            walk.add(x)
+            x = reference_step(fib, x)
+        assert x != 0 and len(walk) > verify._CHECK_STEPS
+        for m in (edge_register(n), fib):
+            census = period_census(m)
+            assert (census.cycles, census.tail_states) == census_reference(m)
+            assert not step_is_bijection(m)
+
+    @given(registers(max_n=8), st.integers(1, 5))
+    def test_any_check_interval(self, m, steps):
+        # short intervals put the looks at every point of short walks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_CHECK_STEPS", steps)
+            census = period_census(m)
+            bijection = step_is_bijection(m)
+        assert (census.cycles, census.tail_states) == census_reference(m)
+        assert bijection == (census.tail_states == 0)
+
+    def test_only_a_census_with_tails_splits_them(self, record_calls):
+        split = record_calls(verify, "_tail_walks")
+        fib, _, galois, _ = random_lowering(random.Random(5), 12)
+        assert period_census(fib) == period_census(galois)
+        assert step_is_bijection(galois)
+        assert not step_is_bijection(edge_register(9))
+        assert split == []
+        assert period_census(edge_register(9)).tail_states > 0
+        assert len(split) == 1
 
     def test_trio_census(self):
         for m in (A, B, F):
