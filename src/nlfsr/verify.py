@@ -11,9 +11,13 @@ the same walk ends on.  Then one rule decides: equal marks mean the
 registers are equivalent, and a state whose label the other side never
 marks starts no stream of the other, so it witnesses that they are not.
 Against a Fibonacci register, whose windows are the graph of its top
-feedback, only the other register is walked, and it is marked only when
-its n-bit output prefixes are not triangular in its state; a triangular
-prefix map is a bijection, so the walk's own columns decide.
+feedback, only the other register is walked, n steps, and the final
+states give output n; one column d marks where its windows break the
+recurrence.  ``verify`` marks its n-bit output prefixes only when they
+are not triangular in its state; a triangular prefix map is a
+bijection, so the walk's own columns decide.  ``brute_force_match``
+reads its candidates off the same columns, and only when d is not
+empty steps their orbits, which must never reach d.
 Cycle structure comes from walks over the successor table: each walk
 first expects to close a cycle, as every walk of a bijection does, and
 only a walk that does not, which proves the update is not a bijection,
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .register import (
     Nlfsr,
@@ -120,15 +124,102 @@ def _refined_classes(
 def brute_force_match(a: Nlfsr, b: Nlfsr, state: Sequence[int]) -> State | None:
     """The smallest state of b whose output stream equals a's from ``state``.
 
-    Returns None when no state of b reproduces that stream.
+    Returns None when no state of b reproduces that stream.  Against a
+    Fibonacci register, whose state is its own first n outputs, only the
+    other register g (b when both are Fibonacci) is walked, by
+    ``_fibonacci_walk``, and a stream of g is the Fibonacci register's
+    exactly when its orbit never reaches a lane of d, where g's window
+    breaks the recurrence.  With a first, the candidates are the lanes of
+    g whose first n outputs spell ``state``; with b first, the one
+    candidate is ``state`` itself, and its first n outputs are the answer.
+    ``_first_unbroken`` picks the smallest candidate whose orbit avoids d.
+    Pairs with no Fibonacci side compare ``output_classes``.
     """
     check_state(state, a.n)
+    if a.n != b.n:
+        raise ValueError(f"registers have different sizes {a.n} and {b.n}")
+    n = a.n
+    if a.is_fibonacci():
+        outputs, d, ones = _fibonacci_walk(a, b)
+        lanes = ones ^ d
+        for bit, column in zip(state, outputs):
+            lanes &= column if bit else ~column
+        y = _first_unbroken(b, _set_lanes(lanes), d)
+        return None if y is None else int_to_state(y, n)
+    if b.is_fibonacci():
+        outputs, d, _ = _fibonacci_walk(b, a)
+        x = state_to_int(state)
+        if _first_unbroken(a, (x,), d) is None:
+            return None
+        return tuple(column >> x & 1 for column in outputs[:n])
     ca, cb = output_classes(a, b)
     try:
         y = cb.index(ca[state_to_int(state)])
     except ValueError:
         return None
-    return int_to_state(y, b.n)
+    return int_to_state(y, n)
+
+
+def _fibonacci_walk(fib: Nlfsr, g: Nlfsr) -> tuple[list[int], int, int]:
+    """Walk every state of g n steps at once against the Fibonacci register fib.
+
+    Returns ``(outputs, d, ones)``: outputs[t] is g's output column at
+    time t for t = 0..n, the last read off the states the walk ends on;
+    bit y of d is set where g's (n+1)-bit window from y breaks fib's
+    recurrence, so where output n is not fib's top feedback of outputs
+    0..n-1; ones is the lane mask.
+    """
+    start, ones = state_space(g.n)
+    outputs, state = walk_columns(g, g.n, start, ones)
+    d = state[0] ^ fib.feedbacks[-1].evaluate(outputs, ones)
+    outputs.append(state[0])
+    return outputs, d, ones
+
+
+#: 1 for every nonzero byte, so ``bytes.find`` finds the set bytes of a column.
+_NONZERO = bytes([0] + [1] * 255)
+
+
+def _set_lanes(column: int) -> Iterator[int]:
+    """The set bits of a column, lowest first: the zero bytes between
+    them are skipped by ``bytes.find``, not by big-int steps."""
+    data = column.to_bytes((column.bit_length() + 7) >> 3, "little")
+    flags = data.translate(_NONZERO)
+    i = flags.find(1)
+    while i >= 0:
+        for bit in range(8):
+            if data[i] >> bit & 1:
+                yield i << 3 | bit
+        i = flags.find(1, i + 1)
+
+
+def _first_unbroken(g: Nlfsr, lanes: Iterable[int], d: int) -> int | None:
+    """The first of lanes whose orbit under g never reaches a set bit of
+    d, or None when every orbit does.
+
+    With d = 0 that is the first lane.  Otherwise each orbit is stepped
+    with ``step_packed`` and its states marked 2 until it reaches a state
+    of d, a state an earlier walk marked, or one of its own.  A walk that
+    meets its own state has closed its orbit without reaching d, so its
+    lane answers.  Every state an earlier walk marked leads to d, so a
+    walk that ends on one, or on d, is walked again from its start to
+    mark its states 1, and each state is stepped at most twice in all.
+    """
+    if not d:
+        return next(iter(lanes), None)
+    broken = d.to_bytes(((1 << g.n) + 7) >> 3, "little")
+    seen = bytearray(1 << g.n)
+    for y in lanes:
+        x = y
+        while not seen[x] and not broken[x >> 3] >> (x & 7) & 1:
+            seen[x] = 2
+            x = g.step_packed(x)
+        if seen[x] == 2:
+            return y
+        while seen[y] == 2:
+            seen[y] = 1
+            y = g.step_packed(y)
+    return None
 
 
 Verdict = Literal["equivalent", "not-equivalent"]
@@ -215,9 +306,7 @@ def _against_fibonacci(a: Nlfsr, b: Nlfsr) -> EquivalenceReport:
         fib, g, fib_side, g_side = b, a, "second", "first"
     n = g.n
     top = fib.feedbacks[-1]
-    start, ones = state_space(n)
-    outputs, _ = walk_columns(g, n + 1, start, ones)
-    d = outputs[n] ^ top.evaluate(outputs[:n], ones)
+    outputs, d, ones = _fibonacci_walk(fib, g)
     if _triangular(outputs[:n], ones):
         p = _smallest_prefix(outputs[:n], d)
     else:

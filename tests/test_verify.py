@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,10 @@ A, B, F = samples.GALOIS_A, samples.GALOIS_B, samples.FIBONACCI
 # is the 3-bit rotation's
 SWAPPED = Nlfsr.parse("n = 3\nf2 = x1\nf1 = x0\nf0 = x2")
 ROTATION_3 = Nlfsr.fibonacci(3, Anf.var(0))
+# the published Fibonacci register with its top toggled at state 1111
+# alone: GALOIS_A breaks its recurrence only where its window starts
+# 1111, which every state of A's 15-cycle reaches and state 0 never does
+TOGGLED_F = Nlfsr.fibonacci(4, F.feedbacks[-1] ^ Anf([Monomial((0, 1, 2, 3))]))
 
 
 @st.composite
@@ -156,6 +161,109 @@ class TestBruteForceMatch:
         two = Nlfsr.parse("n = 2\nf1 = x0\nf0 = x1")
         with pytest.raises(ValueError, match="different sizes"):
             brute_force_match(A, two, parse_state("0001"))
+
+    @settings(max_examples=200)
+    @given(fibonacci_pairs())
+    def test_equals_the_streams_reference(self, pair):
+        # the two registers together have 2^(n+1) states, so any two
+        # streams that differ do so within their first 2^(n+1) bits
+        n = pair[0].n
+        for a, b in (pair, pair[::-1]):
+            sa, sb = streams(a, 2 << n), streams(b, 2 << n)
+            smallest = {}
+            for y, stream in enumerate(sb):
+                smallest.setdefault(stream, y)
+            for x in range(1 << n):
+                y = smallest.get(sa[x])
+                expected = None if y is None else int_to_state(y, n)
+                assert brute_force_match(a, b, int_to_state(x, n)) == expected
+
+    def test_match_in_a_pair_that_is_not_equivalent(self):
+        # both registers keep state 0 and emit zeros from it; every other
+        # stream of A breaks TOGGLED_F's recurrence somewhere
+        assert output_set_equivalent(TOGGLED_F, A).verdict == "not-equivalent"
+        zero = parse_state("0000")
+        assert brute_force_match(TOGGLED_F, A, zero) == zero
+        assert brute_force_match(A, TOGGLED_F, zero) == zero
+        for x in range(1, 16):
+            assert brute_force_match(TOGGLED_F, A, int_to_state(x, 4)) is None
+
+    def test_orbit_reaches_a_break_after_several_steps(self, record_calls):
+        # A's state 0111 emits the prefix 0111 and follows TOGGLED_F's
+        # recurrence for 14 steps before its window starts 1111; the walk
+        # steps each of those states once, then once more to mark them
+        s = parse_state("0111")
+        sa = A.output_sequence(s, 20)
+        breaks = [t for t in range(16) if sa[t : t + 4] == [1, 1, 1, 1]]
+        assert breaks[0] == 14
+        stepped = record_calls(Nlfsr, "step_packed")
+        assert brute_force_match(TOGGLED_F, A, s) is None
+        assert len(stepped) == 2 * 14
+        assert brute_force_match(A, TOGGLED_F, s) is None
+
+    def test_smaller_candidate_of_one_prefix_fails(self):
+        # bit 1 never changes and x2' = x0*x1, so the update is not a
+        # bijection: states 011 and 101 both emit 1, 1, 0, 0 (the zero
+        # top's window), but 011 then cycles 011 -> 111 -> 110 -> 010
+        # and emits a 1 again, while 101 -> 001 -> 000 emits zeros
+        m = Nlfsr.parse("n = 3\nf2 = x0*x1\nf1 = x1\nf0 = x1 + x2")
+        zeros = Nlfsr.fibonacci(3, Anf.zero())
+        sm = streams(m, 8)
+        assert sm[0b011][:4] == sm[0b101][:4] == (1, 1, 0, 0)
+        assert sm[0b011] != sm[0b101] == (1, 1, 0, 0, 0, 0, 0, 0)
+        assert brute_force_match(zeros, m, parse_state("011")) == parse_state("101")
+        assert brute_force_match(m, zeros, parse_state("011")) is None
+        assert brute_force_match(m, zeros, parse_state("101")) == parse_state("011")
+
+    def test_candidate_joining_a_failed_walk_fails(self, record_calls):
+        # states 011 and 101 both emit 1, 1, 0, 0, the window of 1 + x0 from
+        # 011, and both step to 001 and then 000, whose window breaks the
+        # recurrence: the walk from 011 steps 011 and 001 to reach it and
+        # again to mark them, and the walk from 101 stops at 001, so only
+        # 101 is stepped again
+        m = Nlfsr.parse("n = 3\nf2 = 0\nf1 = 0\nf0 = x0*x2 + x1")
+        fib = Nlfsr.fibonacci(3, Anf.parse("1 + x0"))
+        sm = streams(m, 4)
+        assert sm[0b011] == sm[0b101] == (1, 1, 0, 0)
+        stepped = record_calls(Nlfsr, "step_packed")
+        assert brute_force_match(fib, m, parse_state("011")) is None
+        assert [args[1] for args, _ in stepped] == [0b011, 0b001, 0b011, 0b001, 0b101, 0b101]
+
+    @pytest.mark.parametrize(
+        "a, b, walked, stepped",
+        [
+            (F, A, A, False),
+            (A, F, A, False),
+            (F, F, F, False),
+            (TOGGLED_F, A, A, True),
+            (A, TOGGLED_F, A, True),
+        ],
+        ids=["F-A", "A-F", "F-F", "TOGGLED-A", "A-TOGGLED"],
+    )
+    def test_one_walk_against_a_fibonacci_register(self, a, b, walked, stepped, record_calls):
+        # only the other register is walked, from the whole space, and the
+        # answer comes from its columns; orbits are stepped only when some
+        # window of it breaks the Fibonacci recurrence
+        names = ("walk_columns", "output_classes", "transpose", "_marks")
+        calls = {name: record_calls(verify, name) for name in names}
+        steps = record_calls(Nlfsr, "step_packed")
+        brute_force_match(a, b, parse_state("0111"))
+        assert [args[0] for args, _ in calls["walk_columns"]] == [walked]
+        assert [len(calls[name]) for name in names[1:]] == [0, 0, 0]
+        assert bool(steps) == stepped
+
+    def test_peak_memory_is_one_walk(self):
+        # the n + 1 output columns and n state columns of n = 18, 32 KB each
+        n = 18
+        fib, _, galois, _ = random_lowering(random.Random(1), n)
+        s = tuple(galois.output_sequence(int_to_state(1, n), n))
+        tracemalloc.start()
+        try:
+            assert brute_force_match(fib, galois, s) == int_to_state(1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestOutputSetEquivalence:
@@ -550,6 +658,10 @@ LIMIT_GUARDED = {
     "output_classes": lambda m: output_classes(m, m),
     "output_set_equivalent": lambda m: output_set_equivalent(m, m),
     "brute_force_match": lambda m: brute_force_match(m, m, (0,) * m.n),
+    # f0 = x0 in place of x1, so neither side is Fibonacci
+    "brute_force_match_no_fibonacci_side": lambda m: brute_force_match(
+        *[Nlfsr((Anf.var(0),) + m.feedbacks[1:])] * 2, (0,) * m.n
+    ),
 }
 
 
@@ -580,6 +692,18 @@ def test_whole_space_scans_run_at_the_cap():
     toggled = Nlfsr.fibonacci(n, fib.feedbacks[-1] ^ Anf([Monomial((1, 2))]))
     assert output_set_equivalent(fib, galois) == EquivalenceReport("equivalent")
     assert output_set_equivalent(galois, toggled).verdict == "not-equivalent"
+    # a Fibonacci state is its own first n outputs, and the Galois form's
+    # prefix map is a bijection, so r is the only match of s either way
+    r = int_to_state(0x5A5A5, n)
+    s = tuple(galois.output_sequence(r, n))
+    assert brute_force_match(fib, galois, s) == r
+    assert brute_force_match(galois, fib, r) == s
+    # a Galois state whose own window breaks the toggled recurrence
+    for x in range(1 << n):
+        window = galois.output_sequence(int_to_state(x, n), n + 1)
+        if window[n] != toggled.feedbacks[-1].evaluate(window[:n]):
+            break
+    assert brute_force_match(galois, toggled, int_to_state(x, n)) is None
     # neither side is Fibonacci, so both registers are walked and marked
     assert output_set_equivalent(galois, galois) == EquivalenceReport("equivalent")
     census = period_census(galois)
