@@ -6,7 +6,11 @@ equal terms cancel in pairs and every polynomial has a unique term set.
 
 Text form: ``+`` is XOR, ``*`` is AND, variables are ``x`` followed by
 digits, ``1`` is the constant term and ``0`` alone denotes the zero
-polynomial.  Example: ``x3 + x1 + x0*x1``.
+polynomial.  Example: ``x3 + x1 + x0*x1``.  ``Anf.parse`` accepts a
+well-formed text with one compiled pattern of the grammar and reads its
+terms by ``split`` and ``findall``; only a text the pattern refuses, or
+one whose index breaks the bound, goes to the token scanner ``_scan``,
+which names the first fault and its position.
 
 Evaluation is bit-sliced (Biham 1997): the value of x_k is an integer
 column holding x_k in each of W lanes, a polynomial's value is the XOR
@@ -50,12 +54,11 @@ class Monomial:
                 raise ValueError(f"variable index must be a non-negative integer, got {k!r}")
         object.__setattr__(self, "indices", tuple(sorted(set(idx))))
 
-    @classmethod
-    def _trusted(cls, indices: Sequence[int]) -> Monomial:
+    @staticmethod
+    def _trusted(indices: Sequence[int]) -> Monomial:
         """The monomial of indices already checked, in any order and with repeats."""
-        t = cls.__new__(cls)
-        idx = tuple(sorted(set(indices))) if len(indices) > 1 else tuple(indices)
-        object.__setattr__(t, "indices", idx)
+        t = object.__new__(Monomial)
+        _set_indices(t, tuple(sorted(set(indices))) if len(indices) > 1 else tuple(indices))
         return t
 
     def __setattr__(self, name, value):
@@ -93,6 +96,10 @@ class Monomial:
         return "*".join(f"x{k}" for k in self.indices)
 
 
+# trusted construction sets the slots through their descriptors, past __setattr__
+_set_indices = Monomial.indices.__set__
+
+
 # a token, or else the first character that starts none
 _TOKEN = re.compile(r"\s*(?:(x[0-9]+|1|0|\+|\*)|(\S))")
 
@@ -100,6 +107,12 @@ _TOKEN = re.compile(r"\s*(?:(x[0-9]+|1|0|\+|\*)|(\S))")
 #   poly := term ('+' term)* ;  term := '1' | factor ('*' factor)* ;  factor := 'x' digits
 # The table encodes it: the token kinds (first characters) that may follow each kind, "" the start.
 _FOLLOW = {"": "x1", "x": "*+", "1": "+", "*": "x", "+": "x1"}
+
+# The same grammar as one pattern, from _TOKEN's token rules, and a factor's index
+_FACTOR = r"\s*x[0-9]+"
+_TERM = rf"(?:\s*1|{_FACTOR}(?:\s*\*{_FACTOR})*)"
+_POLY = re.compile(rf"{_TERM}(?:\s*\+{_TERM})*\s*")
+_INDEX = re.compile(r"x([0-9]+)")
 
 
 def is_ascii_digits(text: str) -> bool:
@@ -207,10 +220,11 @@ class Anf:
             return NotImplemented
         return Anf._wrap(self.terms.symmetric_difference(other.terms))
 
-    @classmethod
-    def _wrap(cls, terms: frozenset[Monomial]) -> Anf:
-        p = cls.__new__(cls)
-        object.__setattr__(p, "terms", terms)
+    @staticmethod
+    def _wrap(terms: frozenset[Monomial]) -> Anf:
+        """The polynomial of a term set already folded."""
+        p = object.__new__(Anf)
+        _set_terms(p, terms)
         return p
 
     def __bool__(self) -> bool:
@@ -233,37 +247,69 @@ class Anf:
 
     @classmethod
     def parse(cls, text: str, n_vars: int | None = None) -> Anf:
-        """Parse polynomial text (grammar at ``_FOLLOW``); with n_vars given, indices stay below it."""
-        if text.strip() == "0":
-            return cls.zero()
-        # the scanner checks every index, so terms skip the constructors' checks
-        terms: set[Monomial] = set()
-        factors: list[int] = []
-        prev = ""
-        follow = _FOLLOW[prev]
-        for m in _TOKEN.finditer(text):
-            tok = m[1]
-            if tok is None:
-                raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
-            kind = tok[0]
-            if kind not in follow:
-                where = f"after {prev!r}" if prev else "at the start"
-                expected = " or ".join(map(repr, follow))
-                raise ParseError(f"expected {expected} {where}, got {tok!r}", m.start(1))
-            if kind == "x":
-                k = digits_value(tok[1:])
-                if k is None or n_vars is not None and k >= n_vars:
-                    limit = "any register" if k is None else f"{n_vars} variables"
-                    raise ParseError(f"variable {tok} out of range for {limit}", m.start(1))
-                factors.append(k)
-            elif kind == "+":
-                terms ^= {Monomial._trusted(factors)}
-                factors = []
-            prev, follow = tok, _FOLLOW[kind]
-        if not prev:
-            raise ParseError("empty polynomial", 0)
-        # a term is complete exactly where a '+' may follow
-        if "+" not in follow:
-            raise ParseError("expected a factor", len(text))
-        terms ^= {Monomial._trusted(factors)}
-        return cls._wrap(frozenset(terms))
+        """Parse polynomial text; with n_vars given, indices stay below it.
+
+        ``_POLY``, the grammar as one pattern, accepts a well-formed text
+        of at most 4300 characters, so that int() reads each of its
+        indices, and its terms are read by ``split`` and ``findall``; a
+        lone ``x<digits>``, most lines of a register file, is read with
+        neither.  Any other text, or one whose index reaches n_vars, goes
+        to ``_scan``, which alone raises ParseError, at the first fault.
+        """
+        if len(text) <= 4300:
+            if text[:1] == "x" and is_ascii_digits(text[1:]):
+                k = int(text[1:])
+                if n_vars is None or k < n_vars:
+                    return cls._wrap(frozenset((Monomial._trusted((k,)),)))
+            elif _POLY.fullmatch(text):
+                terms = []
+                for term in text.split("+"):
+                    indices = [int(k) for k in _INDEX.findall(term)]
+                    if n_vars is not None and indices and max(indices) >= n_vars:
+                        return _scan(text, n_vars)
+                    terms.append(Monomial._trusted(indices))
+                folded = frozenset(terms)
+                # repeated terms cancel in pairs, which the constructor folds
+                return cls._wrap(folded) if len(folded) == len(terms) else cls(terms)
+        return _scan(text, n_vars)
+
+
+_set_terms = Anf.terms.__set__
+
+
+def _scan(text: str, n_vars: int | None) -> Anf:
+    """``Anf.parse`` token by token, by the grammar at ``_FOLLOW``; a fault
+    raises ParseError at the first token that breaks the grammar or a bound."""
+    if text.strip() == "0":
+        return Anf.zero()
+    # the scanner checks every index, so terms skip the constructors' checks
+    terms: set[Monomial] = set()
+    factors: list[int] = []
+    prev = ""
+    follow = _FOLLOW[prev]
+    for m in _TOKEN.finditer(text):
+        tok = m[1]
+        if tok is None:
+            raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
+        kind = tok[0]
+        if kind not in follow:
+            where = f"after {prev!r}" if prev else "at the start"
+            expected = " or ".join(map(repr, follow))
+            raise ParseError(f"expected {expected} {where}, got {tok!r}", m.start(1))
+        if kind == "x":
+            k = digits_value(tok[1:])
+            if k is None or n_vars is not None and k >= n_vars:
+                limit = "any register" if k is None else f"{n_vars} variables"
+                raise ParseError(f"variable {tok} out of range for {limit}", m.start(1))
+            factors.append(k)
+        elif kind == "+":
+            terms ^= {Monomial._trusted(factors)}
+            factors = []
+        prev, follow = tok, _FOLLOW[kind]
+    if not prev:
+        raise ParseError("empty polynomial", 0)
+    # a term is complete exactly where a '+' may follow
+    if "+" not in follow:
+        raise ParseError("expected a factor", len(text))
+    terms ^= {Monomial._trusted(factors)}
+    return Anf._wrap(frozenset(terms))

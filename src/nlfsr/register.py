@@ -104,9 +104,11 @@ def read_assignments(
         if not line:
             continue
         try:
-            if "=" not in line:
+            name, eq, value = line.partition("=")
+            if not eq:
                 raise ValueError(f"expected 'name = value', got {line!r}")
-            name, value = map(str.strip, line.split("=", 1))
+            name = name.strip()
+            value = value.strip()
             if name == header:
                 if k is not None:
                     raise ValueError(f"duplicate {header}")
@@ -125,7 +127,7 @@ def read_assignments(
                     raise ValueError(f"bit {name[1:]} outside {span.start}..{span.stop - 1}")
                 if i in given:
                     raise ValueError(f"duplicate assignment for bit {i}")
-                given[i] = lineno, Anf.parse(value, n_vars=span.stop)
+                given[i] = lineno, Anf.parse(value, span.stop)
             else:
                 raise ValueError(f"unknown assignment {name!r}")
         except ValueError as e:
@@ -180,12 +182,17 @@ class Nlfsr:
         for i, f in enumerate(fbs):
             if not isinstance(f, Anf):
                 raise TypeError(f"feedback {i} is not an Anf")
+            tap = (i + 1) % n
+            # a pure shift reads only its tap, which lies below n
+            if len(f.terms) == 1 and next(iter(f.terms)).indices == (tap,):
+                residuals.append(zero)
+                continue
             # indices are sorted, so a term's last one is its highest
             high = max((t.indices[-1] for t in f.terms if t.indices), default=-1)
             if high >= n:
                 raise ValueError(f"feedback f{i} reads x{high} but the register has {n} bits")
             # f's terms were checked when f was built, and the tap is an index in 0..n-1
-            r = f.terms ^ {Monomial._trusted(((i + 1) % n,))}
+            r = f.terms ^ {Monomial._trusted((tap,))}
             if r:
                 residuals.append(Anf._wrap(r))
                 masks.append((i, tuple(sum(1 << k for k in t.indices) for t in r)))
@@ -374,7 +381,7 @@ def state_space(n: int) -> tuple[list[int], int]:
 
 
 def walk_columns(
-    m: Nlfsr, steps: int, start: Sequence[int], ones: int
+    m: Nlfsr, steps: int, start: Sequence[int], ones: int, keep: Iterable[int] | None = None
 ) -> tuple[list[int], list[int]]:
     """Step many states of the register ``steps`` times at once, bit-sliced.
 
@@ -387,13 +394,41 @@ def walk_columns(
     column 0 before step t, so bit j of it is the output at time t from
     lane j, and state[i] is column i of the states reached after the last
     step.  ``transpose`` turns either list into one lane per state.
+
+    ``keep`` names the bits whose final columns are wanted, None all of
+    them.  Before stepping, the walk works out backwards from them which
+    bits each step must get right: column 0 for the outputs, and for each
+    bit wanted after a step, its tap and, if it has a residual, the
+    residual's support.  A step XORs a residual in only at the bits wanted
+    after it; the other columns go stale, and so do the final columns of
+    the bits not kept.  The outputs are exact either way.
     """
+    bits = [i for i, _ in m._residual_masks]
+    if keep is None:
+        plan = [bits] * steps
+    else:
+        n = m.n
+        full = (1 << n) - 1
+        reads = [(i, sum(1 << k for k in m._residuals[i].support())) for i in bits]
+        wanted = sum(1 << i for i in set(keep))
+        plan = []
+        for _ in range(steps):
+            # column 0 is an output and bit n - 1's tap; each other wanted bit i reads x_{i+1}
+            before = 1 | wanted << 1 & full
+            active = []
+            for i, support in reads:
+                if wanted >> i & 1:
+                    active.append(i)
+                    before |= support
+            plan.append(active)
+            wanted = before
+        plan.reverse()
     state = list(start)
     outputs = []
-    for _ in range(steps):
+    for active in plan:
         outputs.append(state[0])
         nxt = state[1:] + state[:1]
-        for i, _ in m._residual_masks:
+        for i in active:
             nxt[i] ^= m._residuals[i].evaluate(state, ones)
         state = nxt
     return outputs, state

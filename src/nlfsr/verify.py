@@ -167,10 +167,11 @@ def _fibonacci_walk(fib: Nlfsr, g: Nlfsr) -> tuple[list[int], int, int]:
     time t for t = 0..n, the last read off the states the walk ends on;
     bit y of d is set where g's (n+1)-bit window from y breaks fib's
     recurrence, so where output n is not fib's top feedback of outputs
-    0..n-1; ones is the lane mask.
+    0..n-1; ones is the lane mask.  The walk keeps only the final column
+    it reads, bit 0's.
     """
     start, ones = state_space(g.n)
-    outputs, state = walk_columns(g, g.n, start, ones)
+    outputs, state = walk_columns(g, g.n, start, ones, keep=(0,))
     d = state[0] ^ fib.feedbacks[-1].evaluate(outputs, ones)
     outputs.append(state[0])
     return outputs, d, ones

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from nlfsr import cli, register, samples
+from nlfsr import anf, cli, register, samples
 from nlfsr.anf import Anf, Monomial, ParseError
 from nlfsr.generate import random_lowering
 from nlfsr.register import (
@@ -108,8 +108,13 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "value, field",
-        [(Monomial((1,)), "indices"), (Anf.var(1), "terms"), (Nlfsr(A.feedbacks), "n")],
-        ids=["Monomial", "Anf", "Nlfsr"],
+        [
+            pytest.param(Monomial((1,)), "indices", id="Monomial"),
+            pytest.param(Anf.var(1), "terms", id="Anf"),
+            pytest.param(Nlfsr(A.feedbacks), "n", id="Nlfsr"),
+            pytest.param(Monomial._trusted((2, 1, 2)), "indices", id="Monomial-trusted"),
+            pytest.param(Anf.parse("x2 + x0*x1"), "terms", id="Anf-pattern"),
+        ],
     )
     def test_values_are_immutable(self, value, field):
         before = getattr(value, field)
@@ -130,6 +135,8 @@ class TestConstruction:
             period_census(A),
             output_set_equivalent(F, samples.ROTATION),
             Violation("non-singular", 1, 2),
+            pytest.param(Monomial._trusted((2, 1, 2)), id="Monomial-trusted"),
+            pytest.param(Anf.parse("x2 + x0*x1"), id="Anf-pattern"),
         ],
         ids=lambda value: type(value).__name__,
     )
@@ -139,6 +146,20 @@ class TestConstruction:
             assert copied == value
             with pytest.raises(AttributeError):
                 copied.note = 1
+
+    @pytest.mark.parametrize(
+        "trusted, public",
+        [
+            (Monomial._trusted((2, 1, 2)), Monomial((1, 2))),
+            (Monomial._trusted((3,)), Monomial((3,))),
+            (Anf.parse("x2 + x0*x1"), Anf([Monomial((0, 1)), Monomial((2,))])),
+            (Anf.parse("x3"), Anf.var(3)),
+        ],
+        ids=["Monomial-trusted", "Monomial-trusted-one", "Anf-pattern", "Anf-lone-variable"],
+    )
+    def test_trusted_values_equal_their_public_builds(self, trusted, public):
+        assert trusted == public
+        assert hash(trusted) == hash(public)
 
     @given(registers(max_n=12))
     def test_stored_split_matches_the_feedbacks(self, m):
@@ -643,6 +664,29 @@ class TestWalk:
         with pytest.raises(TypeError, match="'start'"):
             walk_columns(m, 1, ones=ones)
 
+    @given(st.data())
+    def test_kept_columns_equal_the_full_walk(self, data):
+        # registers that break the window condition included, and walks
+        # shorter or longer than n
+        m = data.draw(registers(max_n=10))
+        keep = sorted(data.draw(st.sets(st.integers(0, m.n - 1))))
+        steps = data.draw(st.integers(0, 2 * m.n))
+        outputs, state = walk_columns(m, steps, *state_space(m.n))
+        kept_outputs, kept_state = walk_columns(m, steps, *state_space(m.n), keep=keep)
+        assert kept_outputs == outputs
+        assert [kept_state[i] for i in keep] == [state[i] for i in keep]
+
+    def test_keep_skips_the_residuals_no_kept_bit_reads(self, record_calls):
+        # every bit of edge_register has a residual; one step keeping bit 0
+        # adds only bit 0's, and the full walk adds all of them
+        m = edge_register(6)
+        evaluated = record_calls(Anf, "evaluate")
+        walk_columns(m, 1, *state_space(6), keep=(0,))
+        assert [args[0] for args, _ in evaluated] == [m._residuals[0]]
+        evaluated.clear()
+        walk_columns(m, 1, *state_space(6))
+        assert [args[0] for args, _ in evaluated] == list(m._residuals)
+
     def test_successor_table_is_the_one_step_walk(self):
         m = edge_register(9)
         outputs, state = walk_columns(m, 1, *state_space(9))
@@ -721,6 +765,22 @@ def mutated(draw, texts):
 
 
 @st.composite
+def spaced_polys(draw, n_vars: int = 13) -> str:
+    """Polynomial text with spaces, tabs, U+2003 and newlines between
+    tokens, indices with leading zeros, and some indices at or above n_vars."""
+    gap = st.text(" \t\u2003\n", max_size=2)
+    terms = draw(st.lists(st.lists(st.integers(0, n_vars + 2), max_size=3), min_size=1, max_size=5))
+
+    def spaced(parts, sep):
+        return sep.join(draw(gap) + part + draw(gap) for part in parts)
+
+    def factor(k):
+        return "x" + "0" * draw(st.integers(0, 2)) + str(k)
+
+    return spaced([spaced([factor(k) for k in t], "*") if t else "1" for t in terms], "+")
+
+
+@st.composite
 def move_texts(draw) -> str:
     """``from,to,poly`` texts of moves to a lower bit of a 4-bit register."""
     from_bit = draw(st.integers(1, 3))
@@ -756,6 +816,19 @@ class TestParserFuzz:
             return
         assert Anf.parse(str(f)) == f
 
+    @given(st.one_of(mutated(polys(13).map(str)), spaced_polys()), st.sampled_from([None, 13]))
+    def test_pattern_agrees_with_the_scanner(self, text, n_vars):
+        # the scanner is the reference: the same polynomial, or the same
+        # fault with the same message and position
+        try:
+            expected = anf._scan(text, n_vars)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                Anf.parse(text, n_vars)
+            assert (str(got.value), got.value.position) == (str(err), err.position)
+            return
+        assert Anf.parse(text, n_vars) == expected
+
     @given(mutated(registers(max_n=6).map(str)))
     def test_mutated_register_parses_or_names_its_line(self, text):
         try:
@@ -780,3 +853,31 @@ class TestParserFuzz:
     def test_mutated_move_exits_cleanly(self, text):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert cli.main(["transform", str(GALOIS_A_FILE), "--move", text]) in (0, 2)
+
+
+class TestLoadingPaths:
+    """Which path loading takes, pinned with record_calls."""
+
+    def test_register_files_are_read_by_the_pattern(self, record_calls):
+        fib, _, gal, _ = random_lowering(random.Random(1), 12)
+        scans = record_calls(anf, "_scan")
+        for m in (fib, gal):
+            assert Nlfsr.parse(str(m)) == m
+        assert scans == []
+
+    def test_refused_text_is_scanned_once(self, record_calls):
+        scans = record_calls(anf, "_scan")
+        with pytest.raises(ParseError) as err:
+            Anf.parse("x1 ** x2")
+        assert str(err.value) == "expected 'x' after '*', got '*' (at position 4)"
+        assert len(scans) == 1
+
+    def test_pure_shifts_build_no_tap(self, record_calls):
+        # a Fibonacci register's n - 1 pure shifts take the shared zero
+        # residual; only the top bit's tap x0 may be built
+        fib = random_lowering(random.Random(1), 12)[0]
+        trusted = record_calls(Monomial, "_trusted")
+        m = Nlfsr(fib.feedbacks)
+        assert [args for args, _ in trusted] in ([], [((0,),)])
+        assert m == fib and m._residuals == fib._residuals
+        assert len({id(r) for r in m._residuals[:-1]}) == 1
